@@ -4,7 +4,6 @@
 use crate::{BaselineHead, FeatureSpace, Result};
 use ofscil_core::{OFscilModel, SessionResults};
 use ofscil_data::{Dataset, FscilBenchmark};
-use ofscil_nn::Mode;
 use ofscil_tensor::Tensor;
 
 /// Runs the FSCIL protocol with a baseline head on top of the shared
@@ -73,15 +72,15 @@ pub fn run_baseline_protocol(
     Ok(SessionResults { accuracies })
 }
 
-fn extract(model: &mut OFscilModel, images: &Tensor, space: FeatureSpace) -> Result<Tensor> {
+fn extract(model: &OFscilModel, images: &Tensor, space: FeatureSpace) -> Result<Tensor> {
     match space {
-        FeatureSpace::Backbone => model.extract_backbone_features(images, Mode::Eval),
-        FeatureSpace::Projected => model.extract_features(images, Mode::Eval),
+        FeatureSpace::Backbone => model.infer_backbone_features(images),
+        FeatureSpace::Projected => model.infer_features(images),
     }
 }
 
 fn evaluate(
-    model: &mut OFscilModel,
+    model: &OFscilModel,
     dataset: &Dataset,
     head: &dyn BaselineHead,
     space: FeatureSpace,

@@ -10,11 +10,11 @@ use std::hint::black_box;
 
 fn bench_micro_backbone(c: &mut Criterion) {
     let mut rng = SeedRng::new(0);
-    let mut backbone = micro_backbone(&mut rng);
+    let backbone = micro_backbone(&mut rng);
     let image = Tensor::ones(&[1, 3, 16, 16]);
     c.bench_function("micro_backbone_forward_16x16", |b| {
         b.iter(|| {
-            let out = backbone.forward(black_box(&image), Mode::Eval).unwrap();
+            let out = backbone.infer(black_box(&image)).unwrap();
             black_box(out)
         })
     });
@@ -22,7 +22,7 @@ fn bench_micro_backbone(c: &mut Criterion) {
     let batch = Tensor::ones(&[8, 3, 16, 16]);
     c.bench_function("micro_backbone_forward_batch8", |b| {
         b.iter(|| {
-            let out = backbone.forward(black_box(&batch), Mode::Eval).unwrap();
+            let out = backbone.infer(black_box(&batch)).unwrap();
             black_box(out)
         })
     });
@@ -30,11 +30,11 @@ fn bench_micro_backbone(c: &mut Criterion) {
 
 fn bench_fcr(c: &mut Criterion) {
     let mut rng = SeedRng::new(1);
-    let mut fcr = Fcr::new(1280, 256, &mut rng);
+    let fcr = Fcr::new(1280, 256, &mut rng);
     let features = Tensor::ones(&[1, 1280]);
     c.bench_function("fcr_projection_1280_to_256", |b| {
         b.iter(|| {
-            let out = fcr.forward(black_box(&features), Mode::Eval).unwrap();
+            let out = fcr.infer(black_box(&features)).unwrap();
             black_box(out)
         })
     });
@@ -42,11 +42,11 @@ fn bench_fcr(c: &mut Criterion) {
 
 fn bench_inverted_residual(c: &mut Criterion) {
     let mut rng = SeedRng::new(2);
-    let mut block = InvertedResidual::new(32, 32, 1, 6, &mut rng);
+    let block = InvertedResidual::new(32, 32, 1, 6, &mut rng);
     let input = Tensor::ones(&[1, 32, 16, 16]);
     c.bench_function("inverted_residual_32ch_16x16", |b| {
         b.iter(|| {
-            let out = block.forward(black_box(&input), Mode::Eval).unwrap();
+            let out = block.infer(black_box(&input)).unwrap();
             black_box(out)
         })
     });

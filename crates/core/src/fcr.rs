@@ -33,13 +33,27 @@ impl Fcr {
         self.linear.out_features()
     }
 
-    /// Projects a batch of backbone features `[batch, d_a]` to `[batch, d_p]`.
+    /// Projects a batch of backbone features `[batch, d_a]` to `[batch, d_p]`
+    /// for inference (read-only).
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when the input width is not d_a.
+    pub fn infer(&self, features: &Tensor) -> Result<Tensor> {
+        Ok(self.linear.infer(features)?)
+    }
+
+    /// Projects in the given mode: [`Mode::Train`] caches the input for
+    /// [`Fcr::backward`], [`Mode::Eval`] is exactly [`Fcr::infer`].
     ///
     /// # Errors
     ///
     /// Returns an error when the input width is not d_a.
     pub fn forward(&mut self, features: &Tensor, mode: Mode) -> Result<Tensor> {
-        Ok(self.linear.forward(features, mode)?)
+        match mode {
+            Mode::Train => Ok(self.linear.forward(features)?),
+            Mode::Eval => self.infer(features),
+        }
     }
 
     /// Backpropagates through the projection (training-mode forward required).
@@ -83,9 +97,9 @@ mod tests {
         assert_eq!(fcr.feature_dim(), 64);
         assert_eq!(fcr.projection_dim(), 16);
         let x = Tensor::ones(&[3, 64]);
-        let y = fcr.forward(&x, Mode::Eval).unwrap();
+        let y = fcr.infer(&x).unwrap();
         assert_eq!(y.dims(), &[3, 16]);
-        assert!(fcr.forward(&Tensor::ones(&[3, 32]), Mode::Eval).is_err());
+        assert!(fcr.infer(&Tensor::ones(&[3, 32])).is_err());
         assert_eq!(fcr.macs(), 1024);
         assert_eq!(fcr.param_count(), 64 * 16 + 16);
     }

@@ -90,7 +90,7 @@ pub fn finetune_fcr(model: &mut OFscilModel, config: &FinetuneConfig) -> Result<
     }
 
     let alignment = |fcr: &mut crate::Fcr, activations: &Tensor| -> Result<f32> {
-        let projected = fcr.forward(activations, Mode::Eval)?;
+        let projected = fcr.infer(activations)?;
         let mut total = 0.0f32;
         for row in 0..classes.len() {
             let p = Tensor::from_slice(&projected.as_slice()[row * d_p..(row + 1) * d_p]);

@@ -115,7 +115,7 @@ pub fn metalearn(
         // 1. Build episode prototypes from meta-samples (no gradient).
         let support =
             base_train.sample_support(&classes, config.meta_samples_per_class, rng)?;
-        let support_features = model.extract_features(&support.images, Mode::Eval)?;
+        let support_features = model.infer_features(&support.images)?;
         let mut prototypes = Tensor::zeros(&[classes.len(), d_p]);
         for (class_idx, class) in classes.iter().enumerate() {
             let rows: Vec<usize> = support

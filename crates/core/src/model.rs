@@ -3,7 +3,6 @@
 use crate::{CoreError, ExplicitMemory, Fcr, Result};
 use ofscil_data::{Batch, Dataset};
 use ofscil_nn::models::{Backbone, BackboneKind};
-use ofscil_nn::Mode;
 use ofscil_quant::{quantize_layer_weights, FakeQuant, PrototypePrecision};
 use ofscil_tensor::{SeedRng, Tensor};
 use std::collections::BTreeMap;
@@ -116,32 +115,39 @@ impl OFscilModel {
         self.activation_quant.is_some()
     }
 
-    /// Runs the backbone, returning θ_a of shape `[batch, d_a]`.
+    /// Runs the backbone for inference, returning θ_a of shape
+    /// `[batch, d_a]`.
     ///
     /// # Errors
     ///
     /// Returns an error when the image batch is incompatible with the
     /// backbone.
-    pub fn extract_backbone_features(&mut self, images: &Tensor, mode: Mode) -> Result<Tensor> {
-        let theta_a = self.backbone.forward(images, mode)?;
-        Ok(match &self.activation_quant {
-            Some(q) => q.apply(&theta_a),
-            None => theta_a,
-        })
+    pub fn infer_backbone_features(&self, images: &Tensor) -> Result<Tensor> {
+        Ok(self.quantize(self.backbone.infer(images)?))
     }
 
-    /// Runs backbone + FCR, returning θ_p of shape `[batch, d_p]`.
+    /// Runs backbone + FCR for inference, returning θ_p of shape
+    /// `[batch, d_p]`. Read-only: any number of threads may call it on one
+    /// shared model.
     ///
     /// # Errors
     ///
     /// Returns an error when the image batch is incompatible.
-    pub fn extract_features(&mut self, images: &Tensor, mode: Mode) -> Result<Tensor> {
-        let theta_a = self.extract_backbone_features(images, mode)?;
-        let theta_p = self.fcr.forward(&theta_a, mode)?;
-        Ok(match &self.activation_quant {
-            Some(q) => q.apply(&theta_p),
-            None => theta_p,
-        })
+    pub fn infer_features(&self, images: &Tensor) -> Result<Tensor> {
+        self.project(&self.infer_backbone_features(images)?)
+    }
+
+    /// Projects θ_a through the FCR to θ_p.
+    fn project(&self, theta_a: &Tensor) -> Result<Tensor> {
+        Ok(self.quantize(self.fcr.infer(theta_a)?))
+    }
+
+    /// Applies the simulated int8 activation quantizer, when converted.
+    fn quantize(&self, activations: Tensor) -> Tensor {
+        match &self.activation_quant {
+            Some(q) => q.apply(&activations),
+            None => activations,
+        }
     }
 
     /// Learns the classes present in `batch` with a single pass (paper
@@ -159,14 +165,8 @@ impl OFscilModel {
         if batch.is_empty() {
             return Err(CoreError::InvalidConfig("cannot learn from an empty batch".into()));
         }
-        let theta_a = self.extract_backbone_features(&batch.images, Mode::Eval)?;
-        let theta_p = {
-            let projected = self.fcr.forward(&theta_a, Mode::Eval)?;
-            match &self.activation_quant {
-                Some(q) => q.apply(&projected),
-                None => projected,
-            }
-        };
+        let theta_a = self.infer_backbone_features(&batch.images)?;
+        let theta_p = self.project(&theta_a)?;
         let d_a = theta_a.dims()[1];
         let d_p = theta_p.dims()[1];
 
@@ -207,8 +207,8 @@ impl OFscilModel {
     ///
     /// Returns an error when the explicit memory is empty or shapes are
     /// incompatible.
-    pub fn predict(&mut self, images: &Tensor) -> Result<Vec<usize>> {
-        let theta_p = self.extract_features(images, Mode::Eval)?;
+    pub fn predict(&self, images: &Tensor) -> Result<Vec<usize>> {
+        let theta_p = self.infer_features(images)?;
         let d_p = theta_p.dims()[1];
         let mut predictions = Vec::with_capacity(theta_p.dims()[0]);
         for row in 0..theta_p.dims()[0] {
@@ -225,7 +225,7 @@ impl OFscilModel {
     /// # Errors
     ///
     /// Returns an error when the dataset is empty or incompatible.
-    pub fn evaluate(&mut self, dataset: &Dataset, batch_size: usize) -> Result<f32> {
+    pub fn evaluate(&self, dataset: &Dataset, batch_size: usize) -> Result<f32> {
         if dataset.is_empty() {
             return Err(CoreError::InvalidConfig("cannot evaluate on an empty dataset".into()));
         }

@@ -152,7 +152,7 @@ pub fn pretrain(
             let (backbone, fcr, _quant) = model.training_parts();
             let theta_a = backbone.forward(&images, Mode::Train)?;
             let theta_p = fcr.forward(&theta_a, Mode::Train)?;
-            let logits = fcc.forward(&theta_p, Mode::Train)?;
+            let logits = fcc.forward(&theta_p)?;
 
             let (ce_loss, grad_logits) = cross_entropy_soft(&logits, &targets)?;
             let mut grad_theta_p = fcc.backward(&grad_logits)?;

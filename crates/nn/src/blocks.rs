@@ -2,7 +2,7 @@
 //! block used by the ResNet-12 backbone.
 
 use crate::layers::{BatchNorm, Conv2d, DepthwiseConv2d, Relu, Relu6, Sequential};
-use crate::{Layer, Mode, NnError, Parameter, Result};
+use crate::{Layer, NnError, Parameter, Result};
 use ofscil_tensor::{SeedRng, Tensor};
 
 /// MobileNetV2 inverted residual block: 1×1 expansion → 3×3 depthwise →
@@ -54,6 +54,14 @@ impl InvertedResidual {
     pub fn stride(&self) -> usize {
         self.stride
     }
+
+    fn skip(&self, body_out: Tensor, input: &Tensor) -> Result<Tensor> {
+        if self.use_residual {
+            Ok(body_out.add(input)?)
+        } else {
+            Ok(body_out)
+        }
+    }
 }
 
 impl Layer for InvertedResidual {
@@ -67,13 +75,14 @@ impl Layer for InvertedResidual {
         )
     }
 
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        let out = self.body.forward(input, mode)?;
-        if self.use_residual {
-            Ok(out.add(input)?)
-        } else {
-            Ok(out)
-        }
+    fn infer(&self, input: &Tensor) -> Result<Tensor> {
+        let out = self.body.infer(input)?;
+        self.skip(out, input)
+    }
+
+    fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
+        let out = self.body.forward(input)?;
+        self.skip(out, input)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
@@ -161,16 +170,23 @@ impl Layer for ResNetBlock {
         )
     }
 
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        let body_out = self.body.forward(input, mode)?;
+    fn infer(&self, input: &Tensor) -> Result<Tensor> {
+        let body_out = self.body.infer(input)?;
+        let skip = match &self.shortcut {
+            Some(proj) => proj.infer(input)?,
+            None => input.clone(),
+        };
+        Ok(body_out.add(&skip)?.map(|x| x.max(0.0)))
+    }
+
+    fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
+        let body_out = self.body.forward(input)?;
         let skip = match &mut self.shortcut {
-            Some(proj) => proj.forward(input, mode)?,
+            Some(proj) => proj.forward(input)?,
             None => input.clone(),
         };
         let pre_act = body_out.add(&skip)?;
-        if mode.is_train() {
-            self.relu_mask = Some(pre_act.as_slice().iter().map(|&x| x > 0.0).collect());
-        }
+        self.relu_mask = Some(pre_act.as_slice().iter().map(|&x| x > 0.0).collect());
         Ok(pre_act.map(|x| x.max(0.0)))
     }
 
@@ -222,15 +238,15 @@ mod tests {
     #[test]
     fn inverted_residual_shapes() {
         let mut rng = SeedRng::new(0);
-        let mut blk = InvertedResidual::new(8, 8, 1, 6, &mut rng);
+        let blk = InvertedResidual::new(8, 8, 1, 6, &mut rng);
         assert!(blk.has_residual());
-        let y = blk.forward(&Tensor::ones(&[2, 8, 8, 8]), Mode::Eval).unwrap();
+        let y = blk.infer(&Tensor::ones(&[2, 8, 8, 8])).unwrap();
         assert_eq!(y.dims(), &[2, 8, 8, 8]);
 
-        let mut strided = InvertedResidual::new(8, 16, 2, 6, &mut rng);
+        let strided = InvertedResidual::new(8, 16, 2, 6, &mut rng);
         assert!(!strided.has_residual());
         assert_eq!(strided.stride(), 2);
-        let y = strided.forward(&Tensor::ones(&[1, 8, 8, 8]), Mode::Eval).unwrap();
+        let y = strided.infer(&Tensor::ones(&[1, 8, 8, 8])).unwrap();
         assert_eq!(y.dims(), &[1, 16, 4, 4]);
         assert_eq!(strided.output_dims(&[1, 8, 8, 8]).unwrap(), vec![1, 16, 4, 4]);
     }
@@ -248,7 +264,7 @@ mod tests {
         let mut rng = SeedRng::new(2);
         let mut blk = InvertedResidual::new(4, 4, 1, 2, &mut rng);
         let x = Tensor::ones(&[1, 4, 6, 6]);
-        let y = blk.forward(&x, Mode::Train).unwrap();
+        let y = blk.forward(&x).unwrap();
         let g = blk.backward(&Tensor::ones(y.dims())).unwrap();
         assert_eq!(g.dims(), x.dims());
         // The residual path alone guarantees a nonzero input gradient.
@@ -265,12 +281,12 @@ mod tests {
     #[test]
     fn resnet_block_shapes_and_shortcut() {
         let mut rng = SeedRng::new(3);
-        let mut same = ResNetBlock::new(8, 8, 1, 2, &mut rng);
-        let y = same.forward(&Tensor::ones(&[1, 8, 8, 8]), Mode::Eval).unwrap();
+        let same = ResNetBlock::new(8, 8, 1, 2, &mut rng);
+        let y = same.infer(&Tensor::ones(&[1, 8, 8, 8])).unwrap();
         assert_eq!(y.dims(), &[1, 8, 8, 8]);
 
         let mut down = ResNetBlock::new(8, 16, 2, 3, &mut rng);
-        let y = down.forward(&Tensor::ones(&[1, 8, 8, 8]), Mode::Eval).unwrap();
+        let y = down.infer(&Tensor::ones(&[1, 8, 8, 8])).unwrap();
         assert_eq!(y.dims(), &[1, 16, 4, 4]);
         // Projection shortcut adds parameters.
         assert!(down.param_count() > 0);
@@ -279,10 +295,10 @@ mod tests {
     #[test]
     fn resnet_block_output_is_non_negative() {
         let mut rng = SeedRng::new(4);
-        let mut blk = ResNetBlock::new(4, 4, 1, 2, &mut rng);
+        let blk = ResNetBlock::new(4, 4, 1, 2, &mut rng);
         let x = Tensor::from_vec((0..4 * 16).map(|i| (i as f32 - 32.0) * 0.1).collect(), &[1, 4, 4, 4])
             .unwrap();
-        let y = blk.forward(&x, Mode::Eval).unwrap();
+        let y = blk.infer(&x).unwrap();
         assert!(y.as_slice().iter().all(|&v| v >= 0.0));
     }
 
@@ -291,7 +307,7 @@ mod tests {
         let mut rng = SeedRng::new(5);
         let mut blk = ResNetBlock::new(3, 6, 2, 3, &mut rng);
         let x = Tensor::ones(&[2, 3, 8, 8]);
-        let y = blk.forward(&x, Mode::Train).unwrap();
+        let y = blk.forward(&x).unwrap();
         let g = blk.backward(&Tensor::ones(y.dims())).unwrap();
         assert_eq!(g.dims(), x.dims());
         assert!(blk.backward(&Tensor::ones(y.dims())).is_err());

@@ -3,7 +3,9 @@
 use crate::{Parameter, Result};
 use ofscil_tensor::Tensor;
 
-/// Execution mode of a forward pass.
+/// Execution mode for the model-level entry points that pick training or
+/// inference at run time ([`crate::models::Backbone::forward`]): `Train`
+/// runs [`Layer::forward`], `Eval` runs [`Layer::infer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Mode {
     /// Training: activations are cached for the backward pass and
@@ -22,22 +24,36 @@ impl Mode {
 
 /// A differentiable network component.
 ///
-/// Layers are stateful: `forward(Mode::Train)` caches whatever the layer
-/// needs, and the next `backward` consumes that cache, accumulates parameter
-/// gradients and returns the gradient with respect to the layer input.
+/// Inference and training are separate paths. [`Layer::infer`] is the only
+/// eval implementation: it reads the layer and never writes it, so one
+/// frozen network can serve many threads at once (hence `Sync`).
+/// [`Layer::forward`] is the training pass: it uses batch statistics where
+/// the layer has them and caches whatever the next `backward` consumes; that
+/// `backward` accumulates parameter gradients and returns the gradient with
+/// respect to the layer input.
 ///
 /// Containers ([`crate::layers::Sequential`], the residual blocks) implement
 /// the same trait, so whole backbones are just `Layer`s.
-pub trait Layer: Send {
+pub trait Layer: Send + Sync {
     /// Human-readable layer name (used in error messages and profiling).
     fn name(&self) -> String;
 
-    /// Runs the layer on `input`.
+    /// Runs the layer on `input` for inference: no caching, running
+    /// statistics, no mutation.
     ///
     /// # Errors
     ///
     /// Returns an error when the input shape is incompatible with the layer.
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor>;
+    fn infer(&self, input: &Tensor) -> Result<Tensor>;
+
+    /// Runs the layer on `input` for training, caching what the next
+    /// [`Layer::backward`] needs (batch-normalisation uses, and updates its
+    /// running statistics from, the batch statistics).
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when the input shape is incompatible with the layer.
+    fn forward(&mut self, input: &Tensor) -> Result<Tensor>;
 
     /// Propagates `grad_output` back through the layer, accumulating parameter
     /// gradients and returning the gradient with respect to the input.
@@ -45,7 +61,7 @@ pub trait Layer: Send {
     /// # Errors
     ///
     /// Returns [`crate::NnError::NoForwardCache`] when called before a
-    /// training-mode forward pass.
+    /// training forward pass.
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor>;
 
     /// Visits every parameter of the layer (and sub-layers) in a fixed,

@@ -1,6 +1,6 @@
 //! Pointwise activations: ReLU and ReLU6.
 
-use crate::{Layer, Mode, NnError, Parameter, Result};
+use crate::{Layer, NnError, Parameter, Result};
 use ofscil_tensor::Tensor;
 
 /// Rectified linear unit: `max(x, 0)`.
@@ -21,11 +21,13 @@ impl Layer for Relu {
         "relu".into()
     }
 
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        if mode.is_train() {
-            self.mask = Some(input.as_slice().iter().map(|&x| x > 0.0).collect());
-        }
+    fn infer(&self, input: &Tensor) -> Result<Tensor> {
         Ok(input.map(|x| x.max(0.0)))
+    }
+
+    fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
+        self.mask = Some(input.as_slice().iter().map(|&x| x > 0.0).collect());
+        self.infer(input)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
@@ -74,17 +76,13 @@ impl Layer for Relu6 {
         "relu6".into()
     }
 
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        if mode.is_train() {
-            self.mask = Some(
-                input
-                    .as_slice()
-                    .iter()
-                    .map(|&x| x > 0.0 && x < 6.0)
-                    .collect(),
-            );
-        }
+    fn infer(&self, input: &Tensor) -> Result<Tensor> {
         Ok(input.map(|x| x.clamp(0.0, 6.0)))
+    }
+
+    fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
+        self.mask = Some(input.as_slice().iter().map(|&x| x > 0.0 && x < 6.0).collect());
+        self.infer(input)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
@@ -123,7 +121,7 @@ mod tests {
     fn relu_forward_backward() {
         let mut relu = Relu::new();
         let x = Tensor::from_slice(&[-2.0, 0.0, 3.0]);
-        let y = relu.forward(&x, Mode::Train).unwrap();
+        let y = relu.forward(&x).unwrap();
         assert_eq!(y.as_slice(), &[0.0, 0.0, 3.0]);
         let g = relu.backward(&Tensor::from_slice(&[1.0, 1.0, 1.0])).unwrap();
         assert_eq!(g.as_slice(), &[0.0, 0.0, 1.0]);
@@ -134,7 +132,7 @@ mod tests {
     fn relu6_clamps_both_sides() {
         let mut relu6 = Relu6::new();
         let x = Tensor::from_slice(&[-1.0, 3.0, 7.0]);
-        let y = relu6.forward(&x, Mode::Train).unwrap();
+        let y = relu6.forward(&x).unwrap();
         assert_eq!(y.as_slice(), &[0.0, 3.0, 6.0]);
         let g = relu6.backward(&Tensor::from_slice(&[1.0, 1.0, 1.0])).unwrap();
         assert_eq!(g.as_slice(), &[0.0, 1.0, 0.0]);
@@ -152,7 +150,7 @@ mod tests {
     #[test]
     fn backward_rejects_wrong_length() {
         let mut relu = Relu::new();
-        relu.forward(&Tensor::ones(&[4]), Mode::Train).unwrap();
+        relu.forward(&Tensor::ones(&[4])).unwrap();
         assert!(relu.backward(&Tensor::ones(&[5])).is_err());
     }
 }

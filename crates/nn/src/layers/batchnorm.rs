@@ -1,6 +1,6 @@
 //! Batch normalisation over the channel dimension.
 
-use crate::{Layer, Mode, NnError, Parameter, Result};
+use crate::{Layer, NnError, Parameter, Result};
 use ofscil_tensor::Tensor;
 
 /// Batch normalisation.
@@ -9,9 +9,9 @@ use ofscil_tensor::Tensor;
 /// statistics over `batch * h * w` elements) or `[batch, features]`
 /// activations (per-feature statistics over the batch).
 ///
-/// In [`Mode::Train`] batch statistics are used and running statistics are
-/// updated with exponential momentum; in [`Mode::Eval`] the running statistics
-/// are used.
+/// The training pass ([`Layer::forward`]) uses batch statistics and updates
+/// the running statistics with exponential momentum; [`Layer::infer`] uses
+/// the running statistics.
 #[derive(Debug)]
 pub struct BatchNorm {
     channels: usize,
@@ -76,6 +76,38 @@ impl BatchNorm {
         self.eps
     }
 
+    /// `γ · (x − mean) / √(var + ε) + β` per channel. Returns the output and
+    /// the per-channel 1/√(var + ε); writes x̂ = (x − mean) / √(var + ε) into
+    /// `x_hat` when the training pass asks for it.
+    fn normalize(
+        &self,
+        input: &Tensor,
+        mean: &[f32],
+        var: &[f32],
+        mut x_hat: Option<&mut [f32]>,
+    ) -> Result<(Tensor, Vec<f32>)> {
+        let (batch, spatial) = self.layout(input.dims())?;
+        let c = self.channels;
+        let src = input.as_slice();
+        let inv_std: Vec<f32> = var.iter().map(|v| 1.0 / (v + self.eps).sqrt()).collect();
+        let mut out = vec![0.0f32; src.len()];
+        let gamma = self.gamma.value.as_slice();
+        let beta = self.beta.value.as_slice();
+        for b in 0..batch {
+            for ch in 0..c {
+                let base = (b * c + ch) * spatial;
+                for s in 0..spatial {
+                    let xh = (src[base + s] - mean[ch]) * inv_std[ch];
+                    if let Some(x_hat) = x_hat.as_deref_mut() {
+                        x_hat[base + s] = xh;
+                    }
+                    out[base + s] = gamma[ch] * xh + beta[ch];
+                }
+            }
+        }
+        Ok((Tensor::from_vec(out, input.dims())?, inv_std))
+    }
+
     fn layout(&self, dims: &[usize]) -> Result<(usize, usize)> {
         // Returns (groups, spatial): groups = batch, spatial = h*w (or 1).
         match dims {
@@ -95,77 +127,63 @@ impl Layer for BatchNorm {
         format!("batchnorm({})", self.channels)
     }
 
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
+    fn infer(&self, input: &Tensor) -> Result<Tensor> {
+        let (out, _) = self.normalize(
+            input,
+            self.running_mean.value.as_slice(),
+            self.running_var.value.as_slice(),
+            None,
+        )?;
+        Ok(out)
+    }
+
+    fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
         let (batch, spatial) = self.layout(input.dims())?;
         let count = (batch * spatial) as f32;
         let c = self.channels;
         let src = input.as_slice();
 
-        let (mean, var) = if mode.is_train() {
-            let mut mean = vec![0.0f32; c];
-            let mut var = vec![0.0f32; c];
-            for b in 0..batch {
-                for (ch, m) in mean.iter_mut().enumerate() {
-                    let base = (b * c + ch) * spatial;
-                    for s in 0..spatial {
-                        *m += src[base + s];
-                    }
+        let mut mean = vec![0.0f32; c];
+        let mut var = vec![0.0f32; c];
+        for b in 0..batch {
+            for (ch, m) in mean.iter_mut().enumerate() {
+                let base = (b * c + ch) * spatial;
+                for s in 0..spatial {
+                    *m += src[base + s];
                 }
             }
-            for m in &mut mean {
-                *m /= count;
-            }
-            for b in 0..batch {
-                for ch in 0..c {
-                    let base = (b * c + ch) * spatial;
-                    for s in 0..spatial {
-                        let d = src[base + s] - mean[ch];
-                        var[ch] += d * d;
-                    }
-                }
-            }
-            for v in &mut var {
-                *v /= count;
-            }
-            // Update running statistics.
-            for ch in 0..c {
-                let rm = &mut self.running_mean.value.as_mut_slice()[ch];
-                *rm = (1.0 - self.momentum) * *rm + self.momentum * mean[ch];
-                let rv = &mut self.running_var.value.as_mut_slice()[ch];
-                *rv = (1.0 - self.momentum) * *rv + self.momentum * var[ch];
-            }
-            (mean, var)
-        } else {
-            (
-                self.running_mean.value.as_slice().to_vec(),
-                self.running_var.value.as_slice().to_vec(),
-            )
-        };
-
-        let inv_std: Vec<f32> = var.iter().map(|v| 1.0 / (v + self.eps).sqrt()).collect();
-        let mut out = vec![0.0f32; src.len()];
-        let mut x_hat = vec![0.0f32; src.len()];
-        let gamma = self.gamma.value.as_slice();
-        let beta = self.beta.value.as_slice();
+        }
+        for m in &mut mean {
+            *m /= count;
+        }
         for b in 0..batch {
             for ch in 0..c {
                 let base = (b * c + ch) * spatial;
                 for s in 0..spatial {
-                    let xh = (src[base + s] - mean[ch]) * inv_std[ch];
-                    x_hat[base + s] = xh;
-                    out[base + s] = gamma[ch] * xh + beta[ch];
+                    let d = src[base + s] - mean[ch];
+                    var[ch] += d * d;
                 }
             }
         }
-
-        if mode.is_train() {
-            self.cache = Some(BnCache {
-                x_hat: Tensor::from_vec(x_hat, input.dims())?,
-                inv_std,
-                dims: input.dims().to_vec(),
-            });
+        for v in &mut var {
+            *v /= count;
         }
-        Tensor::from_vec(out, input.dims()).map_err(NnError::from)
+        // Update running statistics.
+        for ch in 0..c {
+            let rm = &mut self.running_mean.value.as_mut_slice()[ch];
+            *rm = (1.0 - self.momentum) * *rm + self.momentum * mean[ch];
+            let rv = &mut self.running_var.value.as_mut_slice()[ch];
+            *rv = (1.0 - self.momentum) * *rv + self.momentum * var[ch];
+        }
+
+        let mut x_hat = vec![0.0f32; src.len()];
+        let (out, inv_std) = self.normalize(input, &mean, &var, Some(&mut x_hat))?;
+        self.cache = Some(BnCache {
+            x_hat: Tensor::from_vec(x_hat, input.dims())?,
+            inv_std,
+            dims: input.dims().to_vec(),
+        });
+        Ok(out)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
@@ -251,7 +269,7 @@ mod tests {
             &[4, 3, 4, 4],
         )
         .unwrap();
-        let y = bn.forward(&x, Mode::Train).unwrap();
+        let y = bn.forward(&x).unwrap();
         // Per-channel mean ≈ 0, var ≈ 1.
         for ch in 0..3 {
             let mut vals = Vec::new();
@@ -278,10 +296,10 @@ mod tests {
                 &[8, 2],
             )
             .unwrap();
-            bn.forward(&x, Mode::Train).unwrap();
+            bn.forward(&x).unwrap();
         }
         let x = Tensor::full(&[1, 2], 2.0);
-        let y = bn.forward(&x, Mode::Eval).unwrap();
+        let y = bn.infer(&x).unwrap();
         // An input equal to the running mean must map close to beta (=0).
         assert!(y.as_slice().iter().all(|v| v.abs() < 0.2), "{:?}", y.as_slice());
     }
@@ -289,7 +307,7 @@ mod tests {
     #[test]
     fn rejects_wrong_channel_count() {
         let mut bn = BatchNorm::new(4);
-        assert!(bn.forward(&Tensor::ones(&[2, 3, 4, 4]), Mode::Train).is_err());
+        assert!(bn.forward(&Tensor::ones(&[2, 3, 4, 4])).is_err());
         assert!(bn.output_dims(&[2, 3]).is_err());
         assert_eq!(bn.output_dims(&[2, 4]).unwrap(), vec![2, 4]);
     }
@@ -310,12 +328,12 @@ mod tests {
             &[6, 2],
         )
         .unwrap();
-        let y = bn.forward(&x, Mode::Train).unwrap();
+        let y = bn.forward(&x).unwrap();
         assert_eq!(y.dims(), x.dims());
         let grad_in = bn.backward(&upstream).unwrap();
 
         let loss = |bn: &mut BatchNorm, x: &Tensor| -> f32 {
-            let y = bn.forward(x, Mode::Train).unwrap();
+            let y = bn.forward(x).unwrap();
             y.mul(&upstream).unwrap().sum()
         };
         let eps = 1e-2;

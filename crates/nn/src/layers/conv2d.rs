@@ -1,6 +1,6 @@
 //! Standard 2-D convolution executed as im2col + matrix multiplication.
 
-use crate::{Layer, Mode, NnError, Parameter, Result};
+use crate::{Layer, NnError, Parameter, Result};
 use ofscil_tensor::{col2im, im2col, Conv2dGeometry, Init, Initializer, SeedRng, Tensor};
 
 /// A 2-D convolution with square kernel, shared stride/padding on both axes.
@@ -91,7 +91,7 @@ impl Layer for Conv2d {
         )
     }
 
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
+    fn infer(&self, input: &Tensor) -> Result<Tensor> {
         let (batch, in_h, in_w) = self.check_input(input.dims())?;
         let geom = self.geometry(in_h, in_w);
         geom.validate()?;
@@ -118,8 +118,13 @@ impl Layer for Conv2d {
                 }
             }
         }
-        self.cached_input = mode.is_train().then(|| input.clone());
         Tensor::from_vec(out, &[batch, self.out_channels, out_h, out_w]).map_err(NnError::from)
+    }
+
+    fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
+        let out = self.infer(input)?;
+        self.cached_input = Some(input.clone());
+        Ok(out)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
@@ -207,12 +212,12 @@ mod tests {
     #[test]
     fn forward_shapes() {
         let mut rng = SeedRng::new(0);
-        let mut conv = Conv2d::new(3, 8, 3, 2, 1, true, &mut rng);
+        let conv = Conv2d::new(3, 8, 3, 2, 1, true, &mut rng);
         let x = Tensor::ones(&[2, 3, 8, 8]);
-        let y = conv.forward(&x, Mode::Eval).unwrap();
+        let y = conv.infer(&x).unwrap();
         assert_eq!(y.dims(), &[2, 8, 4, 4]);
         assert_eq!(conv.output_dims(&[2, 3, 8, 8]).unwrap(), vec![2, 8, 4, 4]);
-        assert!(conv.forward(&Tensor::ones(&[2, 4, 8, 8]), Mode::Eval).is_err());
+        assert!(conv.infer(&Tensor::ones(&[2, 4, 8, 8])).is_err());
     }
 
     #[test]
@@ -221,7 +226,7 @@ mod tests {
         let mut conv = Conv2d::new(1, 1, 1, 1, 0, false, &mut rng);
         conv.weight_mut().as_mut_slice()[0] = 1.0;
         let x = Tensor::from_vec((0..16).map(|v| v as f32).collect(), &[1, 1, 4, 4]).unwrap();
-        let y = conv.forward(&x, Mode::Eval).unwrap();
+        let y = conv.infer(&x).unwrap();
         assert_eq!(y.as_slice(), x.as_slice());
     }
 
@@ -233,7 +238,7 @@ mod tests {
         let mut conv = Conv2d::new(1, 1, 3, 1, 1, false, &mut rng);
         conv.weight_mut().fill(1.0);
         let x = Tensor::ones(&[1, 1, 3, 3]);
-        let y = conv.forward(&x, Mode::Eval).unwrap();
+        let y = conv.infer(&x).unwrap();
         assert_eq!(
             y.as_slice(),
             &[4.0, 6.0, 4.0, 6.0, 9.0, 6.0, 4.0, 6.0, 4.0]
@@ -249,7 +254,7 @@ mod tests {
             &[2, 2, 4, 4],
         )
         .unwrap();
-        let y = conv.forward(&x, Mode::Train).unwrap();
+        let y = conv.forward(&x).unwrap();
         let grad_in = conv.backward(&Tensor::ones(y.dims())).unwrap();
         let analytic_w = conv.weight.grad.clone();
 
@@ -260,8 +265,8 @@ mod tests {
             xp.as_mut_slice()[idx] += eps;
             let mut xm = x.clone();
             xm.as_mut_slice()[idx] -= eps;
-            let lp = conv.forward(&xp, Mode::Eval).unwrap().sum();
-            let lm = conv.forward(&xm, Mode::Eval).unwrap().sum();
+            let lp = conv.infer(&xp).unwrap().sum();
+            let lm = conv.infer(&xm).unwrap().sum();
             let numeric = (lp - lm) / (2.0 * eps);
             let analytic = grad_in.as_slice()[idx];
             assert!((numeric - analytic).abs() < 0.05, "x[{idx}]: {numeric} vs {analytic}");
@@ -270,9 +275,9 @@ mod tests {
         for &idx in &[0usize, 7, 20] {
             let orig = conv.weight.value.as_slice()[idx];
             conv.weight.value.as_mut_slice()[idx] = orig + eps;
-            let lp = conv.forward(&x, Mode::Eval).unwrap().sum();
+            let lp = conv.infer(&x).unwrap().sum();
             conv.weight.value.as_mut_slice()[idx] = orig - eps;
-            let lm = conv.forward(&x, Mode::Eval).unwrap().sum();
+            let lm = conv.infer(&x).unwrap().sum();
             conv.weight.value.as_mut_slice()[idx] = orig;
             let numeric = (lp - lm) / (2.0 * eps);
             let analytic = analytic_w.as_slice()[idx];

@@ -1,7 +1,7 @@
 //! Depthwise 2-D convolution (channel multiplier 1), the core of the
 //! MobileNetV2 inverted-residual block.
 
-use crate::{Layer, Mode, NnError, Parameter, Result};
+use crate::{Layer, NnError, Parameter, Result};
 use ofscil_tensor::{col2im, im2col, Conv2dGeometry, Init, Initializer, SeedRng, Tensor};
 
 /// Depthwise convolution: every input channel is convolved with its own
@@ -73,7 +73,7 @@ impl Layer for DepthwiseConv2d {
         format!("dwconv2d({}, k{}, s{})", self.channels, self.kernel, self.stride)
     }
 
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
+    fn infer(&self, input: &Tensor) -> Result<Tensor> {
         let (batch, in_h, in_w) = self.check_input(input.dims())?;
         let geom = self.geometry(in_h, in_w);
         geom.validate()?;
@@ -105,8 +105,13 @@ impl Layer for DepthwiseConv2d {
                 }
             }
         }
-        self.cached_input = mode.is_train().then(|| input.clone());
         Tensor::from_vec(out, &[batch, self.channels, out_h, out_w]).map_err(NnError::from)
+    }
+
+    fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
+        let out = self.infer(input)?;
+        self.cached_input = Some(input.clone());
+        Ok(out)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
@@ -211,11 +216,11 @@ mod tests {
     #[test]
     fn forward_shape_preserves_channels() {
         let mut rng = SeedRng::new(0);
-        let mut dw = DepthwiseConv2d::new(4, 3, 2, 1, true, &mut rng);
+        let dw = DepthwiseConv2d::new(4, 3, 2, 1, true, &mut rng);
         let x = Tensor::ones(&[2, 4, 8, 8]);
-        let y = dw.forward(&x, Mode::Eval).unwrap();
+        let y = dw.infer(&x).unwrap();
         assert_eq!(y.dims(), &[2, 4, 4, 4]);
-        assert!(dw.forward(&Tensor::ones(&[2, 3, 8, 8]), Mode::Eval).is_err());
+        assert!(dw.infer(&Tensor::ones(&[2, 3, 8, 8])).is_err());
     }
 
     #[test]
@@ -229,7 +234,7 @@ mod tests {
         }
         dw.weight_mut().as_mut_slice()[..9].copy_from_slice(&[1.0; 9]);
         let x = Tensor::ones(&[1, 2, 4, 4]);
-        let y = dw.forward(&x, Mode::Eval).unwrap();
+        let y = dw.infer(&x).unwrap();
         let ch0: f32 = y.as_slice()[..16].iter().sum();
         let ch1: f32 = y.as_slice()[16..].iter().sum();
         assert!(ch0 > 0.0);
@@ -245,7 +250,7 @@ mod tests {
             &[2, 2, 5, 5],
         )
         .unwrap();
-        let y = dw.forward(&x, Mode::Train).unwrap();
+        let y = dw.forward(&x).unwrap();
         let grad_in = dw.backward(&Tensor::ones(y.dims())).unwrap();
         let analytic_w = dw.weight.grad.clone();
 
@@ -255,17 +260,17 @@ mod tests {
             xp.as_mut_slice()[idx] += eps;
             let mut xm = x.clone();
             xm.as_mut_slice()[idx] -= eps;
-            let lp = dw.forward(&xp, Mode::Eval).unwrap().sum();
-            let lm = dw.forward(&xm, Mode::Eval).unwrap().sum();
+            let lp = dw.infer(&xp).unwrap().sum();
+            let lm = dw.infer(&xm).unwrap().sum();
             let numeric = (lp - lm) / (2.0 * eps);
             assert!((numeric - grad_in.as_slice()[idx]).abs() < 0.05);
         }
         for &idx in &[0usize, 10, 17] {
             let orig = dw.weight.value.as_slice()[idx];
             dw.weight.value.as_mut_slice()[idx] = orig + eps;
-            let lp = dw.forward(&x, Mode::Eval).unwrap().sum();
+            let lp = dw.infer(&x).unwrap().sum();
             dw.weight.value.as_mut_slice()[idx] = orig - eps;
-            let lm = dw.forward(&x, Mode::Eval).unwrap().sum();
+            let lm = dw.infer(&x).unwrap().sum();
             dw.weight.value.as_mut_slice()[idx] = orig;
             let numeric = (lp - lm) / (2.0 * eps);
             assert!((numeric - analytic_w.as_slice()[idx]).abs() < 0.05);

@@ -1,6 +1,6 @@
 //! Flatten layer: collapses everything after the batch dimension.
 
-use crate::{Layer, Mode, NnError, Parameter, Result};
+use crate::{Layer, NnError, Parameter, Result};
 use ofscil_tensor::Tensor;
 
 /// Flattens `[batch, d1, d2, …]` into `[batch, d1*d2*…]`.
@@ -21,21 +21,15 @@ impl Layer for Flatten {
         "flatten".into()
     }
 
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        let dims = input.dims();
-        if dims.is_empty() {
-            return Err(NnError::BadInput {
-                layer: self.name(),
-                expected: "at least rank 1".into(),
-                actual: dims.to_vec(),
-            });
-        }
-        let batch = dims[0];
-        let rest: usize = dims[1..].iter().product::<usize>().max(1);
-        if mode.is_train() {
-            self.cached_dims = Some(dims.to_vec());
-        }
-        Ok(input.reshape(&[batch, rest])?)
+    fn infer(&self, input: &Tensor) -> Result<Tensor> {
+        let dims = self.output_dims(input.dims())?;
+        Ok(input.reshape(&dims)?)
+    }
+
+    fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
+        let out = self.infer(input)?;
+        self.cached_dims = Some(input.dims().to_vec());
+        Ok(out)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
@@ -68,7 +62,7 @@ mod tests {
     fn flattens_and_restores() {
         let mut f = Flatten::new();
         let x = Tensor::ones(&[2, 3, 4, 5]);
-        let y = f.forward(&x, Mode::Train).unwrap();
+        let y = f.forward(&x).unwrap();
         assert_eq!(y.dims(), &[2, 60]);
         let g = f.backward(&Tensor::ones(&[2, 60])).unwrap();
         assert_eq!(g.dims(), &[2, 3, 4, 5]);
@@ -77,8 +71,8 @@ mod tests {
 
     #[test]
     fn rejects_rank_zero() {
-        let mut f = Flatten::new();
-        assert!(f.forward(&Tensor::scalar(1.0), Mode::Eval).is_err());
+        let f = Flatten::new();
+        assert!(f.infer(&Tensor::scalar(1.0)).is_err());
         assert!(f.output_dims(&[]).is_err());
     }
 }

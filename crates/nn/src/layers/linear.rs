@@ -1,6 +1,6 @@
 //! Fully connected layer.
 
-use crate::{Layer, Mode, NnError, Parameter, Result};
+use crate::{Layer, NnError, Parameter, Result};
 use ofscil_tensor::{Axis, Init, Initializer, SeedRng, Tensor};
 
 /// A fully connected (dense) layer: `y = x · Wᵀ + b`.
@@ -71,7 +71,7 @@ impl Layer for Linear {
         format!("linear({}x{})", self.in_features, self.out_features)
     }
 
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
+    fn infer(&self, input: &Tensor) -> Result<Tensor> {
         self.check_input(input)?;
         let wt = self.weight.value.transpose()?;
         let mut out = input.matmul(&wt)?;
@@ -83,7 +83,12 @@ impl Layer for Linear {
                 }
             }
         }
-        self.cached_input = mode.is_train().then(|| input.clone());
+        Ok(out)
+    }
+
+    fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
+        let out = self.infer(input)?;
+        self.cached_input = Some(input.clone());
         Ok(out)
     }
 
@@ -144,15 +149,15 @@ mod tests {
     fn finite_diff_check(layer: &mut Linear, x: &Tensor) {
         // Numerical gradient check of dL/dx where L = sum(forward(x)).
         let eps = 1e-3;
-        let y = layer.forward(x, Mode::Train).unwrap();
+        let y = layer.forward(x).unwrap();
         let grad_in = layer.backward(&Tensor::ones(y.dims())).unwrap();
         for idx in 0..x.len().min(6) {
             let mut xp = x.clone();
             xp.as_mut_slice()[idx] += eps;
             let mut xm = x.clone();
             xm.as_mut_slice()[idx] -= eps;
-            let lp = layer.forward(&xp, Mode::Eval).unwrap().sum();
-            let lm = layer.forward(&xm, Mode::Eval).unwrap().sum();
+            let lp = layer.infer(&xp).unwrap().sum();
+            let lm = layer.infer(&xm).unwrap().sum();
             let numeric = (lp - lm) / (2.0 * eps);
             assert!(
                 (numeric - grad_in.as_slice()[idx]).abs() < 1e-2,
@@ -165,11 +170,11 @@ mod tests {
     #[test]
     fn forward_shape_and_bias() {
         let mut rng = SeedRng::new(0);
-        let mut layer = Linear::new(3, 5, true, &mut rng);
+        let layer = Linear::new(3, 5, true, &mut rng);
         let x = Tensor::ones(&[2, 3]);
-        let y = layer.forward(&x, Mode::Eval).unwrap();
+        let y = layer.infer(&x).unwrap();
         assert_eq!(y.dims(), &[2, 5]);
-        assert!(layer.forward(&Tensor::ones(&[2, 4]), Mode::Eval).is_err());
+        assert!(layer.infer(&Tensor::ones(&[2, 4])).is_err());
         assert_eq!(layer.output_dims(&[2, 3]).unwrap(), vec![2, 5]);
         assert!(layer.output_dims(&[3]).is_err());
     }
@@ -180,7 +185,7 @@ mod tests {
         let mut layer = Linear::new(2, 1, true, &mut rng);
         layer.weight_mut().as_mut_slice().copy_from_slice(&[2.0, -1.0]);
         let x = Tensor::from_vec(vec![3.0, 4.0], &[1, 2]).unwrap();
-        let y = layer.forward(&x, Mode::Eval).unwrap();
+        let y = layer.infer(&x).unwrap();
         assert_eq!(y.as_slice(), &[2.0]);
     }
 
@@ -207,7 +212,7 @@ mod tests {
         let mut rng = SeedRng::new(5);
         let mut layer = Linear::new(3, 2, true, &mut rng);
         let x = Tensor::from_vec(vec![0.5, -1.0, 2.0, 1.5, 0.0, -0.5], &[2, 3]).unwrap();
-        let y = layer.forward(&x, Mode::Train).unwrap();
+        let y = layer.forward(&x).unwrap();
         layer.backward(&Tensor::ones(y.dims())).unwrap();
         let analytic = layer.weight.grad.clone();
 
@@ -215,9 +220,9 @@ mod tests {
         for idx in 0..layer.weight.value.len() {
             let orig = layer.weight.value.as_slice()[idx];
             layer.weight.value.as_mut_slice()[idx] = orig + eps;
-            let lp = layer.forward(&x, Mode::Eval).unwrap().sum();
+            let lp = layer.infer(&x).unwrap().sum();
             layer.weight.value.as_mut_slice()[idx] = orig - eps;
-            let lm = layer.forward(&x, Mode::Eval).unwrap().sum();
+            let lm = layer.infer(&x).unwrap().sum();
             layer.weight.value.as_mut_slice()[idx] = orig;
             let numeric = (lp - lm) / (2.0 * eps);
             assert!(

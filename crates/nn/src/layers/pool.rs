@@ -1,6 +1,6 @@
 //! Pooling layers.
 
-use crate::{Layer, Mode, NnError, Parameter, Result};
+use crate::{Layer, NnError, Parameter, Result};
 use ofscil_tensor::Tensor;
 
 /// Global average pooling: `[batch, channels, h, w] -> [batch, channels]`.
@@ -23,7 +23,7 @@ impl Layer for GlobalAvgPool {
         "global_avg_pool".into()
     }
 
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
+    fn infer(&self, input: &Tensor) -> Result<Tensor> {
         let dims = input.dims();
         if dims.len() != 4 {
             return Err(NnError::BadInput {
@@ -42,10 +42,13 @@ impl Layer for GlobalAvgPool {
                     input.as_slice()[base..base + spatial].iter().sum::<f32>() / spatial as f32;
             }
         }
-        if mode.is_train() {
-            self.cached_dims = Some(dims.to_vec());
-        }
         Tensor::from_vec(out, &[batch, channels]).map_err(NnError::from)
+    }
+
+    fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
+        let out = self.infer(input)?;
+        self.cached_dims = Some(input.dims().to_vec());
+        Ok(out)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
@@ -114,14 +117,10 @@ impl MaxPool2d {
         }
         Ok((dims[0], dims[1], dims[2], dims[3]))
     }
-}
 
-impl Layer for MaxPool2d {
-    fn name(&self) -> String {
-        "max_pool2d(2x2)".into()
-    }
-
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
+    /// Pools `input`, returning the output and, per output element, the flat
+    /// input index it was taken from (what `backward` routes gradients to).
+    fn pool(&self, input: &Tensor) -> Result<(Tensor, Vec<usize>)> {
         let (batch, channels, h, w) = self.check(input.dims())?;
         let (oh, ow) = (h / 2, w / 2);
         let src = input.as_slice();
@@ -150,10 +149,23 @@ impl Layer for MaxPool2d {
                 }
             }
         }
-        if mode.is_train() {
-            self.cache = Some((input.dims().to_vec(), argmax));
-        }
-        Tensor::from_vec(out, &[batch, channels, oh, ow]).map_err(NnError::from)
+        Ok((Tensor::from_vec(out, &[batch, channels, oh, ow])?, argmax))
+    }
+}
+
+impl Layer for MaxPool2d {
+    fn name(&self) -> String {
+        "max_pool2d(2x2)".into()
+    }
+
+    fn infer(&self, input: &Tensor) -> Result<Tensor> {
+        Ok(self.pool(input)?.0)
+    }
+
+    fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
+        let (out, argmax) = self.pool(input)?;
+        self.cache = Some((input.dims().to_vec(), argmax));
+        Ok(out)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
@@ -195,7 +207,7 @@ mod tests {
             &[1, 1, 4, 4],
         )
         .unwrap();
-        let y = pool.forward(&x, Mode::Train).unwrap();
+        let y = pool.forward(&x).unwrap();
         assert_eq!(y.dims(), &[1, 1, 2, 2]);
         assert_eq!(y.as_slice(), &[6.0, 8.0, 14.0, 16.0]);
         // Backward routes gradients to the argmax positions only.
@@ -208,18 +220,18 @@ mod tests {
     #[test]
     fn max_pool_rejects_small_inputs() {
         let mut pool = MaxPool2d::new();
-        assert!(pool.forward(&Tensor::ones(&[1, 1, 1, 4]), Mode::Eval).is_err());
+        assert!(pool.infer(&Tensor::ones(&[1, 1, 1, 4])).is_err());
         assert!(pool.output_dims(&[1, 1, 4]).is_err());
         assert!(pool.backward(&Tensor::ones(&[1, 1, 2, 2])).is_err());
     }
 
     #[test]
     fn averages_spatial_extent() {
-        let mut pool = GlobalAvgPool::new();
+        let pool = GlobalAvgPool::new();
         // 2 samples × 1 channel × 2×2 spatial.
         let x = Tensor::from_vec((0..8).map(|v| v as f32).collect(), &[2, 1, 2, 2])
             .unwrap();
-        let y = pool.forward(&x, Mode::Eval).unwrap();
+        let y = pool.infer(&x).unwrap();
         assert_eq!(y.dims(), &[2, 1]);
         assert_eq!(y.as_slice(), &[1.5, 5.5]);
     }
@@ -228,7 +240,7 @@ mod tests {
     fn backward_distributes_uniformly() {
         let mut pool = GlobalAvgPool::new();
         let x = Tensor::ones(&[1, 2, 2, 2]);
-        pool.forward(&x, Mode::Train).unwrap();
+        pool.forward(&x).unwrap();
         let g = pool.backward(&Tensor::from_vec(vec![4.0, 8.0], &[1, 2]).unwrap()).unwrap();
         assert_eq!(g.dims(), &[1, 2, 2, 2]);
         assert_eq!(&g.as_slice()[..4], &[1.0, 1.0, 1.0, 1.0]);
@@ -238,7 +250,7 @@ mod tests {
     #[test]
     fn rejects_bad_rank() {
         let mut pool = GlobalAvgPool::new();
-        assert!(pool.forward(&Tensor::ones(&[2, 3]), Mode::Eval).is_err());
+        assert!(pool.infer(&Tensor::ones(&[2, 3])).is_err());
         assert!(pool.output_dims(&[2, 3]).is_err());
         assert!(pool.backward(&Tensor::ones(&[1, 2])).is_err());
     }

@@ -1,6 +1,6 @@
 //! A container running layers in order.
 
-use crate::{Layer, Mode, NnError, Parameter, Result};
+use crate::{Layer, NnError, Parameter, Result};
 use ofscil_tensor::Tensor;
 
 /// A sequence of layers executed in order; the backward pass walks the layers
@@ -82,10 +82,18 @@ impl Layer for Sequential {
         self.name.clone()
     }
 
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
+    fn infer(&self, input: &Tensor) -> Result<Tensor> {
+        let mut x = input.clone();
+        for layer in &self.layers {
+            x = layer.infer(&x)?;
+        }
+        Ok(x)
+    }
+
+    fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
         let mut x = input.clone();
         for layer in &mut self.layers {
-            x = layer.forward(&x, mode)?;
+            x = layer.forward(&x)?;
         }
         Ok(x)
     }
@@ -156,8 +164,8 @@ mod tests {
 
     #[test]
     fn forward_chains_layers() {
-        let mut mlp = tiny_mlp();
-        let y = mlp.forward(&Tensor::ones(&[3, 4]), Mode::Eval).unwrap();
+        let mlp = tiny_mlp();
+        let y = mlp.infer(&Tensor::ones(&[3, 4])).unwrap();
         assert_eq!(y.dims(), &[3, 2]);
         assert_eq!(mlp.output_dims(&[3, 4]).unwrap(), vec![3, 2]);
         assert_eq!(mlp.len(), 3);
@@ -168,7 +176,7 @@ mod tests {
     fn backward_chains_in_reverse() {
         let mut mlp = tiny_mlp();
         let x = Tensor::ones(&[2, 4]);
-        let y = mlp.forward(&x, Mode::Train).unwrap();
+        let y = mlp.forward(&x).unwrap();
         let g = mlp.backward(&Tensor::ones(y.dims())).unwrap();
         assert_eq!(g.dims(), x.dims());
         // All parameters received gradients.
@@ -203,7 +211,7 @@ mod tests {
     fn zero_grads_resets_all() {
         let mut mlp = tiny_mlp();
         let x = Tensor::ones(&[2, 4]);
-        let y = mlp.forward(&x, Mode::Train).unwrap();
+        let y = mlp.forward(&x).unwrap();
         mlp.backward(&Tensor::ones(y.dims())).unwrap();
         mlp.zero_grads();
         mlp.visit_params(&mut |p| assert_eq!(p.grad.max_abs(), 0.0));

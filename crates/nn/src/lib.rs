@@ -24,7 +24,7 @@
 //!
 //! let mut layer = Linear::new(4, 2, true, &mut SeedRng::new(0));
 //! let x = Tensor::ones(&[3, 4]);
-//! let y = layer.forward(&x, Mode::Eval).unwrap();
+//! let y = layer.infer(&x).unwrap();
 //! assert_eq!(y.dims(), &[3, 2]);
 //! ```
 

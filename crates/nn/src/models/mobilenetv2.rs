@@ -100,7 +100,7 @@ pub fn mobilenet_v2(variant: MobileNetVariant, rng: &mut SeedRng) -> Backbone {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Layer, Mode};
+    use crate::Layer;
     use ofscil_tensor::Tensor;
 
     #[test]
@@ -153,9 +153,9 @@ mod tests {
     #[ignore = "full-size forward pass; run with --ignored for a full check"]
     fn full_forward_pass_runs() {
         let mut rng = SeedRng::new(0);
-        let mut bb = mobilenet_v2(MobileNetVariant::X1, &mut rng);
+        let bb = mobilenet_v2(MobileNetVariant::X1, &mut rng);
         let x = Tensor::ones(&[1, 3, 32, 32]);
-        let y = bb.forward(&x, Mode::Eval).unwrap();
+        let y = bb.infer(&x).unwrap();
         assert_eq!(y.dims(), &[1, 1280]);
         assert!(y.all_finite());
     }

@@ -27,13 +27,28 @@ pub struct Backbone {
 }
 
 impl Backbone {
-    /// Runs the backbone on a batch of images.
+    /// Runs the backbone on a batch of images for inference (read-only; see
+    /// [`Layer::infer`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when the input shape is incompatible.
+    pub fn infer(&self, images: &Tensor) -> Result<Tensor> {
+        self.net.infer(images)
+    }
+
+    /// Runs the backbone on a batch of images in the given mode:
+    /// [`Mode::Train`] is the caching training pass ([`Layer::forward`]),
+    /// [`Mode::Eval`] is exactly [`Backbone::infer`].
     ///
     /// # Errors
     ///
     /// Returns an error when the input shape is incompatible.
     pub fn forward(&mut self, images: &Tensor, mode: Mode) -> Result<Tensor> {
-        self.net.forward(images, mode)
+        match mode {
+            Mode::Train => self.net.forward(images),
+            Mode::Eval => self.infer(images),
+        }
     }
 
     /// Propagates gradients back through the backbone.
@@ -134,7 +149,7 @@ mod tests {
         let mut rng = SeedRng::new(0);
         let mut bb = micro_backbone(&mut rng);
         let x = Tensor::ones(&[2, 3, 16, 16]);
-        let y = bb.forward(&x, Mode::Eval).unwrap();
+        let y = bb.infer(&x).unwrap();
         assert_eq!(y.dims(), &[2, 64]);
         assert!(bb.param_count() > 0);
         assert!(bb.macs(16, 16) > 0);

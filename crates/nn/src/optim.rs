@@ -181,7 +181,7 @@ mod tests {
     use super::*;
     use crate::layers::Linear;
     use crate::loss::cross_entropy;
-    use crate::{Layer, Mode};
+    use crate::Layer;
     use ofscil_tensor::{SeedRng, Tensor};
 
     /// Trains a tiny linear classifier on a separable two-class problem and
@@ -197,7 +197,7 @@ mod tests {
         let labels = [0usize, 0, 1, 1];
         let mut final_loss = f32::INFINITY;
         for _ in 0..steps {
-            let logits = layer.forward(&x, Mode::Train).unwrap();
+            let logits = layer.forward(&x).unwrap();
             let (loss, grad) = cross_entropy(&logits, &labels).unwrap();
             layer.backward(&grad).unwrap();
             optimizer(&mut layer);
@@ -228,7 +228,7 @@ mod tests {
         let mut sgd = Sgd::new(0.1, 0.0, 0.5);
         // No data gradient: only the decay term acts.
         for _ in 0..10 {
-            layer.forward(&Tensor::ones(&[1, 4]), Mode::Train).unwrap();
+            layer.forward(&Tensor::ones(&[1, 4])).unwrap();
             layer.zero_grads();
             sgd.step(&mut layer);
         }
@@ -242,7 +242,7 @@ mod tests {
         layer.set_trainable(false);
         let before = layer.weight().clone();
         let x = Tensor::ones(&[2, 3]);
-        let y = layer.forward(&x, Mode::Train).unwrap();
+        let y = layer.forward(&x).unwrap();
         layer.backward(&Tensor::ones(y.dims())).unwrap();
         let mut sgd = Sgd::new(1.0, 0.9, 0.0);
         sgd.step(&mut layer);
@@ -256,7 +256,7 @@ mod tests {
         let mut rng = SeedRng::new(3);
         let mut layer = Linear::new(8, 8, true, &mut rng);
         let x = Tensor::full(&[4, 8], 100.0);
-        let y = layer.forward(&x, Mode::Train).unwrap();
+        let y = layer.forward(&x).unwrap();
         layer.backward(&Tensor::full(y.dims(), 50.0)).unwrap();
         let before = clip_gradient_norm(&mut layer, 1.0);
         assert!(before > 1.0);
@@ -279,7 +279,7 @@ mod tests {
         let mut rng = SeedRng::new(2);
         let mut layer = Linear::new(2, 2, true, &mut rng);
         let x = Tensor::ones(&[1, 2]);
-        let y = layer.forward(&x, Mode::Train).unwrap();
+        let y = layer.forward(&x).unwrap();
         layer.backward(&Tensor::ones(y.dims())).unwrap();
         let mut adam = Adam::new(0.01).with_weight_decay(1e-4);
         adam.step(&mut layer);

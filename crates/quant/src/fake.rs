@@ -89,7 +89,7 @@ pub fn quantize_layer_weights(layer: &mut dyn Layer, bits: u8) -> Result<u64> {
 mod tests {
     use super::*;
     use ofscil_nn::layers::Linear;
-    use ofscil_nn::{Layer, Mode};
+    use ofscil_nn::Layer;
     use ofscil_tensor::{SeedRng, Tensor};
 
     #[test]
@@ -134,10 +134,10 @@ mod tests {
         let mut layer = Linear::new(16, 8, true, &mut rng);
         let before = layer.weight().clone();
         let x = Tensor::ones(&[2, 16]);
-        let before_out = layer.forward(&x, Mode::Eval).unwrap();
+        let before_out = layer.infer(&x).unwrap();
         let count = quantize_layer_weights(&mut layer, 8).unwrap();
         assert_eq!(count, 16 * 8 + 8);
-        let after_out = layer.forward(&x, Mode::Eval).unwrap();
+        let after_out = layer.infer(&x).unwrap();
         assert!(layer.weight().max_abs_diff(&before).unwrap() > 0.0);
         // The functional change at int8 is small relative to the output scale.
         let rel = before_out.max_abs_diff(&after_out).unwrap() / before_out.max_abs().max(1e-6);

@@ -7,8 +7,9 @@ use ofscil_tensor::recommended_threads;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Number of worker threads executing jobs. Workers for *different*
-    /// deployments run concurrently; requests for the same deployment are
-    /// serialized by the deployment's own lock.
+    /// deployments run concurrently. Up to this many workers also run one
+    /// deployment's infer batches at once; its learns, snapshots and stats
+    /// reads are barriers that run alone, in admission order.
     pub workers: usize,
     /// Maximum number of concurrent `Infer` requests for one deployment that
     /// the batcher coalesces into a single batched forward pass.

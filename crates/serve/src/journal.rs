@@ -3,8 +3,8 @@
 //! The serving runtime is storage-agnostic: it exposes one narrow trait,
 //! [`CommitJournal`], and calls it at the two points where durable state
 //! changes — a committed `LearnOnline` (journaled **while the deployment's
-//! model lock is still held**, so the journal's record order provably matches
-//! the order of memory mutations) and a budget top-up (journaled by the
+//! model write lock is still held**, so the journal's record order provably
+//! matches the order of memory mutations) and a budget top-up (journaled by the
 //! dispatcher right after the meter moves). `ofscil_store` implements the
 //! trait with a per-deployment write-ahead log + checkpoint store; tests can
 //! implement it with a `Vec` behind a mutex.
@@ -28,7 +28,7 @@ pub struct DurabilityStats {
 /// A sink for the runtime's durable state changes.
 ///
 /// Implementations must be cheap enough to sit on the learn path (the learn
-/// journal call happens under the deployment's model lock) and must be
+/// journal call happens under the deployment's model write lock) and must be
 /// callable from several threads at once for *different* deployments.
 ///
 /// Errors are strings: a failed journal write fails the request it was part
@@ -37,7 +37,7 @@ pub struct DurabilityStats {
 pub trait CommitJournal: Sync {
     /// Journals one committed `LearnOnline`.
     ///
-    /// Called while the deployment's model lock is held, after the meter
+    /// Called while the deployment's model write lock is held, after the meter
     /// settled the batch's amortized price — `spent_mj`/`budget_mj` are the
     /// post-commit meter state a recovery must restore.
     ///

@@ -10,7 +10,8 @@
 //! The pieces:
 //!
 //! * [`LearnerRegistry`] — named deployments behind sharded `RwLock`s; each
-//!   model sits behind its own lock so tenants proceed concurrently,
+//!   model sits behind its own `RwLock`, so tenants proceed concurrently and
+//!   one tenant's inferences share its model as readers,
 //! * [`ServeRequest`] / [`ServeResponse`] — the typed request API (`Infer`,
 //!   `LearnOnline`, `Snapshot`, `Stats`, `TopUpBudget`), dispatched over
 //!   `std::sync::mpsc` channels to a `std::thread::scope` worker pool by
@@ -18,6 +19,11 @@
 //! * a coalescing batcher — concurrent `Infer` requests for one deployment
 //!   merge into a single batched forward pass, amortizing the matmul (the
 //!   `serve_throughput` bench prints the batched-vs-sequential ratio),
+//! * per-deployment ordering — up to [`ServeConfig::workers`] workers run
+//!   one deployment's infer batches at once, while `LearnOnline`, `Snapshot`
+//!   and `Stats` are barriers: barriers are totally ordered in admission
+//!   order and each observes exactly the work admitted before it, and infers
+//!   between two barriers may run and reply in any order,
 //! * energy-budget admission — every request is priced in millijoules on the
 //!   GAP9 cost model ([`RequestPricing`]); once a deployment's budget is
 //!   spent, work is rejected or deferred per [`BudgetPolicy`], turning the

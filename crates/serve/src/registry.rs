@@ -369,12 +369,14 @@ impl EnergyMeter {
     }
 }
 
-/// One registered deployment: the model behind its own lock, the per-
-/// deployment FIFO work queue, and the immutable admission metadata the
-/// dispatcher reads without locking either.
+/// One registered deployment: the model behind its own `RwLock` (inference
+/// and other reads share it; learns, restores, imports and int8 conversion
+/// take it exclusively), the per-deployment FIFO work queue, and the
+/// immutable admission metadata the dispatcher reads without locking
+/// either.
 pub(crate) struct Deployment {
     pub name: String,
-    pub model: Mutex<OFscilModel>,
+    pub model: RwLock<OFscilModel>,
     pub work: Mutex<crate::batch::WorkQueue>,
     pub stats: Mutex<StatsInner>,
     pub meter: EnergyMeter,
@@ -424,10 +426,11 @@ impl Deployment {
         if let Some(&mj) = self.batched_mj.lock().expect("batch cache poisoned").get(&n) {
             return mj;
         }
-        // Derive and memoize while holding the model lock: int8 conversion
-        // re-prices and clears this cache under the same lock, so a stale
-        // fp32-derived value can never be inserted after the clear.
-        let model = self.model.lock().expect("model lock poisoned");
+        // Derive and memoize while holding a model read lock: int8
+        // conversion re-prices and clears this cache under the write lock,
+        // so a stale fp32-derived value can never be inserted after the
+        // clear.
+        let model = self.model.read().expect("model lock poisoned");
         let single = self.pricing().infer_mj;
         let derived = derive_batched_infer_mj(&model, &self.basis, n);
         let mj = derived.unwrap_or(single * n as f64).min(single * n as f64);
@@ -499,7 +502,7 @@ impl Deployment {
     }
 
     pub fn stats_snapshot(&self) -> DeploymentStats {
-        let classes = self.model.lock().expect("model lock poisoned").em().num_classes();
+        let classes = self.model.read().expect("model lock poisoned").em().num_classes();
         let stats = self.stats.lock().expect("stats lock poisoned");
         let (spent, _) = self.meter.state();
         DeploymentStats {
@@ -533,10 +536,10 @@ fn shard_of(name: &str, shards: usize) -> usize {
 /// A sharded registry of independent [`OFscilModel`] deployments.
 ///
 /// Each shard is an `RwLock` over a name → deployment map; each deployment
-/// holds its model behind its own `Mutex`. Lookups take a shard read lock
+/// holds its model behind its own `RwLock`. Lookups take a shard read lock
 /// only long enough to clone the `Arc`, so tenants on different deployments
-/// infer and learn fully concurrently, and tenants on different shards even
-/// register concurrently.
+/// infer and learn fully concurrently, one deployment's inferences share its
+/// model, and tenants on different shards even register concurrently.
 #[derive(Debug)]
 pub struct LearnerRegistry {
     shards: Vec<RwLock<HashMap<String, Arc<Deployment>>>>,
@@ -584,7 +587,7 @@ impl LearnerRegistry {
 
         let deployment = Arc::new(Deployment {
             name: spec.name.clone(),
-            model: Mutex::new(model),
+            model: RwLock::new(model),
             work: Mutex::new(crate::batch::WorkQueue::default()),
             stats: Mutex::new(StatsInner::default()),
             meter: EnergyMeter::new(spec.energy_budget_mj),
@@ -640,9 +643,9 @@ impl LearnerRegistry {
         self.len() == 0
     }
 
-    /// Runs a closure with exclusive access to a deployment's model — the
-    /// out-of-band management path (pre-loading classes, converting to int8)
-    /// used before or between serving runs.
+    /// Runs a closure with exclusive access to a deployment's model (under
+    /// its write lock) — the out-of-band management path (pre-loading
+    /// classes, converting to int8) used before or between serving runs.
     ///
     /// # Errors
     ///
@@ -653,7 +656,7 @@ impl LearnerRegistry {
         f: impl FnOnce(&mut OFscilModel) -> T,
     ) -> Result<T> {
         let deployment = self.resolve(name)?;
-        let mut model = deployment.model.lock().expect("model lock poisoned");
+        let mut model = deployment.model.write().expect("model lock poisoned");
         Ok(f(&mut model))
     }
 
@@ -672,7 +675,7 @@ impl LearnerRegistry {
     ///
     /// Returns [`ServeError::UnknownDeployment`] for unknown names.
     pub fn snapshot(&self, name: &str) -> Result<Vec<u8>> {
-        self.with_model(name, |model| encode_explicit_memory(model.em()))
+        Ok(self.snapshot_with_seq(name)?.1)
     }
 
     /// Serializes a deployment's explicit memory together with its current
@@ -686,7 +689,7 @@ impl LearnerRegistry {
     /// Returns [`ServeError::UnknownDeployment`] for unknown names.
     pub fn snapshot_with_seq(&self, name: &str) -> Result<(u64, Vec<u8>)> {
         let deployment = self.resolve(name)?;
-        let model = deployment.model.lock().expect("model lock poisoned");
+        let model = deployment.model.read().expect("model lock poisoned");
         let seq = *deployment.repl_seq.lock().expect("repl seq lock poisoned");
         Ok((seq, encode_explicit_memory(model.em())))
     }
@@ -756,7 +759,7 @@ impl LearnerRegistry {
     ) -> Result<(usize, T)> {
         let em = decode_explicit_memory(&export.snapshot)?;
         let deployment = self.resolve(&export.name)?;
-        let mut model = deployment.model.lock().expect("model lock poisoned");
+        let mut model = deployment.model.write().expect("model lock poisoned");
         if em.dim() != model.projection_dim() {
             return Err(ServeError::InvalidRequest(format!(
                 "exported snapshot dimension {} does not match deployment projection \
@@ -812,7 +815,7 @@ impl LearnerRegistry {
         updates: &[(usize, Vec<f32>)],
     ) -> Result<usize> {
         let deployment = self.resolve(name)?;
-        let mut model = deployment.model.lock().expect("model lock poisoned");
+        let mut model = deployment.model.write().expect("model lock poisoned");
         for (class, prototype) in updates {
             model.em_mut().restore_prototype(*class, prototype)?;
         }
@@ -844,7 +847,7 @@ impl LearnerRegistry {
     /// stored pricing basis no longer validates.
     pub fn convert_to_int8(&self, name: &str) -> Result<RequestPricing> {
         let deployment = self.resolve(name)?;
-        let mut model = deployment.model.lock().expect("model lock poisoned");
+        let mut model = deployment.model.write().expect("model lock poisoned");
         if !model.is_int8() {
             model.convert_to_int8()?;
         }
@@ -891,7 +894,7 @@ impl LearnerRegistry {
     fn restore_inner(&self, name: &str, bytes: &[u8], seq: Option<u64>) -> Result<usize> {
         let em = decode_explicit_memory(bytes)?;
         let deployment = self.resolve(name)?;
-        let mut model = deployment.model.lock().expect("model lock poisoned");
+        let mut model = deployment.model.write().expect("model lock poisoned");
         if em.dim() != model.projection_dim() {
             return Err(ServeError::InvalidRequest(format!(
                 "snapshot dimension {} does not match deployment projection dimension {}",
@@ -944,7 +947,7 @@ impl LearnerRegistry {
     ) -> Result<usize> {
         let em = decode_explicit_memory(snapshot)?;
         let deployment = self.resolve(name)?;
-        let mut model = deployment.model.lock().expect("model lock poisoned");
+        let mut model = deployment.model.write().expect("model lock poisoned");
         if em.dim() != model.projection_dim() {
             return Err(ServeError::InvalidRequest(format!(
                 "recovered snapshot dimension {} does not match deployment projection \

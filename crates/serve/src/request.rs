@@ -108,8 +108,11 @@ pub enum ServeResponse {
     },
 }
 
-/// The reply channel of one in-flight request.
-pub(crate) type Reply = mpsc::Sender<Result<ServeResponse>>;
+/// The reply channel of one in-flight request. Every request is answered
+/// exactly once, so a one-slot channel never blocks its sender, and it
+/// allocates one slot per request instead of an unbounded channel's
+/// 31-slot block.
+pub(crate) type Reply = mpsc::SyncSender<Result<ServeResponse>>;
 
 /// A request plus its reply channel, as it travels to the dispatcher.
 pub(crate) struct Envelope {

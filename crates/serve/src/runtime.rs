@@ -14,22 +14,26 @@
 //! ```
 //!
 //! The global queue carries *deployment tokens*, not jobs: a worker that
-//! claims a token drains that deployment's work queue in admission order,
-//! and the `scheduled` flag keeps a deployment off two workers at once — so
-//! per-deployment request order is a guarantee, while distinct deployments
-//! run fully in parallel.
+//! pops a token claims jobs from that deployment's work queue in admission
+//! order. Inference only reads the model (`RwLock` read guard), so up to
+//! `workers` workers claim one deployment's consecutive infer batches at
+//! once; `LearnOnline`, `Snapshot` and `Stats` are barriers that wait for the
+//! infers ahead of them to drain and hold back everything behind them (see
+//! the work queue in `batch.rs`). The per-deployment contract: barriers are
+//! totally ordered in admission order, every barrier observes exactly the
+//! work admitted before it, and infers between two barriers may run and
+//! reply in any order. Distinct deployments run fully in parallel.
 //!
 //! Every submitted request receives exactly one reply: a successful response,
 //! an admission error, an execution error, or — for requests still parked in
 //! a deferred queue at shutdown — a final [`ServeError::BudgetExhausted`].
 
-use crate::batch::{Coalescer, DeploymentJob, InferItem};
+use crate::batch::{Claim, Coalescer, DeploymentJob, InferItem, Job};
 use crate::journal::CommitJournal;
 use crate::registry::{BudgetPolicy, Deployment, LearnerRegistry};
 use crate::request::{Envelope, PendingResponse, Reply, ServeRequest, ServeResponse};
 use crate::snapshot::encode_explicit_memory;
 use crate::{Result, ServeConfig, ServeError};
-use ofscil_nn::Mode;
 use ofscil_obs::{Event, EventKind, EventSink};
 use ofscil_tensor::Tensor;
 use std::collections::{HashMap, VecDeque};
@@ -87,7 +91,7 @@ impl ServeClient {
     /// the request is shed immediately: the returned handle yields
     /// [`ServeError::QueueFull`] without the request ever entering the queue.
     pub fn submit(&self, request: ServeRequest) -> PendingResponse {
-        let (reply, rx) = mpsc::channel();
+        let (reply, rx) = mpsc::sync_channel(1);
         if self.gauge.queued.fetch_add(1, Ordering::AcqRel) >= self.gauge.limit {
             self.gauge.queued.fetch_sub(1, Ordering::AcqRel);
             let _ = reply.send(Err(ServeError::QueueFull { depth: self.gauge.limit }));
@@ -239,7 +243,7 @@ impl ServeRuntime {
     {
         config.validate()?;
         let (tx, rx) = mpsc::channel::<Envelope>();
-        let queue = JobQueue::new();
+        let queue = JobQueue::new(config.workers);
         let gauge = Arc::new(DepthGauge {
             queued: AtomicUsize::new(0),
             limit: config.queue_depth.unwrap_or(usize::MAX),
@@ -418,14 +422,16 @@ fn route(
     if let ServeRequest::TopUpBudget { energy_mj, .. } = envelope.request {
         let journaled = match journal {
             Some(journal) => {
-                // Learns journal their meter state under the model lock;
-                // holding it here too makes the two meter-read + append
-                // pairs mutually exclusive, so WAL meter states land in
-                // true order (a stale read can otherwise be appended after
-                // a newer one and win the replay). Top-ups are rare
+                // Learns and imports journal their meter state under the
+                // model's write lock; a read lock here excludes them, so the
+                // meter-read + append pairs are mutually exclusive and WAL
+                // meter states land in true order (a stale read can
+                // otherwise be appended after a newer one and win the
+                // replay). Top-ups are journaled only by this dispatcher
+                // thread, so they cannot race each other. They are rare
                 // control-plane operations, so briefly parking the
                 // dispatcher behind a learn in flight is acceptable.
-                let _model = deployment.model.lock().expect("model lock poisoned");
+                let _model = deployment.model.read().expect("model lock poisoned");
                 deployment.meter.top_up(energy_mj);
                 let seq = *deployment.repl_seq.lock().expect("repl seq lock poisoned");
                 let (spent_mj, budget_mj) = deployment.meter.spent_and_budget();
@@ -512,23 +518,20 @@ fn admit(deployment: &Deployment, request: &ServeRequest) -> Admission {
     }
 }
 
-/// Appends a job to the deployment's FIFO work queue and schedules the
-/// deployment on the worker pool unless a token for it is already out.
+/// Appends a job to the deployment's FIFO work queue and puts as many
+/// tokens for the deployment on the worker pool as the work queue asks for.
 fn enqueue(deployment: &Arc<Deployment>, job: DeploymentJob, queue: &JobQueue) {
-    let needs_token = {
-        let mut work = deployment.work.lock().expect("work queue lock poisoned");
-        work.jobs.push_back(job);
-        !std::mem::replace(&mut work.scheduled, true)
-    };
-    if needs_token {
-        queue.push(Arc::clone(deployment));
-    }
+    let tokens = deployment
+        .work
+        .lock()
+        .expect("work queue lock poisoned")
+        .push(job, queue.workers);
+    queue.push(deployment, tokens);
 }
 
 /// Turns an admitted envelope into work: infers join the coalescer, other
-/// requests become immediate jobs behind an ordering barrier that flushes
-/// the deployment's pending batch first. Per-deployment execution order is
-/// the enqueue order, enforced by the token scheduling.
+/// requests become barrier jobs behind a flush of the deployment's pending
+/// batch. Jobs start in enqueue order, enforced by the work queue's claims.
 fn dispatch(
     deployment: Arc<Deployment>,
     envelope: Envelope,
@@ -611,21 +614,18 @@ fn worker_loop(
     obs: Option<&EventSink>,
 ) {
     while let Some(deployment) = queue.pop() {
-        // Drain this deployment's queue in FIFO order. The `scheduled` flag
-        // is cleared under the same lock that proves the queue empty, so a
-        // concurrent `enqueue` either sees the flag still set (and this loop
-        // picks its job up) or re-schedules the deployment itself.
+        // Claim this deployment's jobs until none may start now. The token
+        // is given back under the same lock that proves it, so a concurrent
+        // `enqueue` either sees it still out or grants a fresh one.
         loop {
-            let job = {
-                let mut work = deployment.work.lock().expect("work queue lock poisoned");
-                match work.jobs.pop_front() {
-                    Some(job) => job,
-                    None => {
-                        work.scheduled = false;
-                        break;
-                    }
-                }
-            };
+            let claim = deployment
+                .work
+                .lock()
+                .expect("work queue lock poisoned")
+                .claim(queue.workers);
+            let Claim::Run { job, spawn } = claim else { break };
+            queue.push(&deployment, spawn);
+            let barrier = job.is_barrier();
             match job {
                 DeploymentJob::InferBatch(items) => run_infer_batch(&deployment, items, obs),
                 DeploymentJob::Learn { batch, reply } => {
@@ -640,6 +640,7 @@ fn worker_loop(
                     let _ = reply.send(Ok(ServeResponse::Stats(stats)));
                 }
             }
+            deployment.work.lock().expect("work queue lock poisoned").finish(barrier);
         }
     }
 }
@@ -649,14 +650,16 @@ fn run_infer_batch(deployment: &Deployment, items: Vec<InferItem>, obs: Option<&
     // The latency timer only runs when someone is listening.
     let started = obs.map(|_| std::time::Instant::now());
     let images: Vec<&Tensor> = items.iter().map(|item| &item.image).collect();
-    // One lock acquisition and one batched forward for the whole batch; the
-    // per-row cosine classification reuses the already-projected features.
+    // One shared read of the model and one batched forward for the whole
+    // batch; the per-row cosine classification reuses the already-projected
+    // features. Other workers may run this deployment's next batches under
+    // their own read guards meanwhile.
     let outcome = Tensor::stack(&images)
         .map_err(|e| e.to_string())
         .and_then(|batch| {
-            let mut model = deployment.model.lock().expect("model lock poisoned");
+            let model = deployment.model.read().expect("model lock poisoned");
             let theta_p = model
-                .extract_features(&batch, Mode::Eval)
+                .infer_features(&batch)
                 .map_err(|e| e.to_string())?;
             let d_p = theta_p.dims()[1];
             let mut predictions = Vec::with_capacity(n);
@@ -719,17 +722,18 @@ fn run_learn(
     obs: Option<&EventSink>,
 ) {
     let started = obs.map(|_| std::time::Instant::now());
-    // The amortized settlement is derived *before* taking the model lock
-    // (the derivation itself locks the model on a cache miss): admission
-    // charged batch.len() single-sample passes, but the batch's forwards
-    // stream the weights once.
+    // The amortized settlement is derived *before* taking the model's write
+    // lock: the derivation takes a read lock on a cache miss, and a read
+    // after a write on the same thread deadlocks. Admission charged
+    // batch.len() single-sample passes, but the batch's forwards stream the
+    // weights once.
     let refund_mj = deployment.learn_batch_refund_mj(batch.len());
     // The commit (sequence number + post-commit prototypes) is assembled —
-    // and journaled — while the model lock is still held, so replication and
-    // the write-ahead log see mutations in exactly the order they happened,
-    // with the exact stored bit patterns.
+    // and journaled — while the model write lock is still held, so
+    // replication and the write-ahead log see mutations in exactly the order
+    // they happened, with the exact stored bit patterns.
     let outcome = {
-        let mut model = deployment.model.lock().expect("model lock poisoned");
+        let mut model = deployment.model.write().expect("model lock poisoned");
         model
             .learn_classes_online(batch)
             .map_err(|e| e.to_string())
@@ -798,7 +802,7 @@ fn run_learn(
 
 fn run_snapshot(deployment: &Deployment, reply: &Reply) {
     let bytes = {
-        let model = deployment.model.lock().expect("model lock poisoned");
+        let model = deployment.model.read().expect("model lock poisoned");
         encode_explicit_memory(model.em())
     };
     deployment.stats.lock().expect("stats lock poisoned").snapshots += 1;
@@ -818,6 +822,8 @@ fn run_snapshot(deployment: &Deployment, reply: &Reply) {
 struct JobQueue {
     inner: Mutex<JobQueueInner>,
     ready: Condvar,
+    /// The pool size: the most tokens one deployment may have out.
+    workers: usize,
 }
 
 struct JobQueueInner {
@@ -826,18 +832,25 @@ struct JobQueueInner {
 }
 
 impl JobQueue {
-    fn new() -> Self {
+    fn new(workers: usize) -> Self {
         JobQueue {
             inner: Mutex::new(JobQueueInner { tokens: VecDeque::new(), closed: false }),
             ready: Condvar::new(),
+            workers,
         }
     }
 
-    fn push(&self, token: Arc<Deployment>) {
+    /// Queues `count` tokens for `deployment`, waking one worker per token.
+    fn push(&self, deployment: &Arc<Deployment>, count: usize) {
+        if count == 0 {
+            return;
+        }
         let mut inner = self.inner.lock().expect("job queue lock poisoned");
-        inner.tokens.push_back(token);
+        inner.tokens.extend(std::iter::repeat_with(|| Arc::clone(deployment)).take(count));
         drop(inner);
-        self.ready.notify_one();
+        for _ in 0..count {
+            self.ready.notify_one();
+        }
     }
 
     /// Blocks until a token is available; returns `None` once the queue is
@@ -1402,7 +1415,7 @@ mod tests {
         }
         let items: Vec<InferItem> = (0..n)
             .map(|i| {
-                let (reply, _rx) = mpsc::channel();
+                let (reply, _rx) = mpsc::sync_channel(1);
                 InferItem { image: class_image(i % 2, 0.01), reply }
             })
             .collect();

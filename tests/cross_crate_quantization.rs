@@ -91,10 +91,10 @@ fn quantized_tensors_round_trip_through_the_model_feature_path() {
     // features produced by a real (trained) FCR — a cross-crate consistency
     // check of scales and shapes.
     let outcome = run_experiment(&fast_config(24)).unwrap();
-    let mut model = outcome.model;
+    let model = outcome.model;
     let benchmark = outcome.benchmark;
     let batch = benchmark.base_train().batch(&[0, 1, 2, 3]).unwrap();
-    let features = model.extract_features(&batch.images, Mode::Eval).unwrap();
+    let features = model.infer_features(&batch.images).unwrap();
     let q = QuantTensor::quantize_auto(&features);
     let back = q.dequantize();
     let relative = features.max_abs_diff(&back).unwrap() / features.max_abs().max(1e-6);
