@@ -9,25 +9,13 @@
 //! property that makes rebalancing a *migration of few deployments* instead
 //! of a full reshuffle.
 //!
-//! The hash is the same dependency-free FNV-1a family the wire frame and
-//! snapshot codecs use, widened to 64 bits for ring resolution. Placement is
-//! a pure function of the shard set and the name: every router instance with
-//! the same configuration computes the same placement, no coordination
-//! needed.
+//! The hash is `ofscil_serve::bytes::fnv1a64`, stable across processes and
+//! releases. Placement is a pure function of the shard set and the name:
+//! every router instance with the same configuration computes the same
+//! placement, no coordination needed.
 
+use ofscil_serve::bytes::fnv1a64;
 use std::collections::BTreeSet;
-
-/// FNV-1a 64-bit hash — placement must be deterministic across processes,
-/// so the hash is pinned here rather than borrowed from `std` (whose
-/// `DefaultHasher` is explicitly unstable across releases).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// The 64-bit avalanche finalizer (the murmur3 `fmix64` constants). Raw
 /// FNV-1a of short, similar strings ("shard-0/vnode-1", "shard-0/vnode-2",
@@ -167,6 +155,18 @@ mod tests {
             assert_eq!(again.shard_for(&name), Some(shard));
         }
         assert!(HashRing::new(0, 64).shard_for("anything").is_none());
+    }
+
+    /// Placement of fixed names, recorded before the ring's FNV-1a-64 moved
+    /// onto `ofscil_serve::bytes`: a changed hash would silently re-place
+    /// every deployment of a running cluster.
+    #[test]
+    fn placement_of_fixed_names_matches_the_golden_ring() {
+        let ring = HashRing::new(3, 64);
+        let placed: Vec<usize> =
+            names(12).iter().map(|name| ring.shard_for(name).unwrap()).collect();
+        assert_eq!(placed, [1, 1, 1, 0, 2, 2, 2, 0, 2, 0, 0, 0]);
+        assert_eq!(ring_point(b"tenant-0"), 2_819_592_807_726_020_263);
     }
 
     #[test]

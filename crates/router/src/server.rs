@@ -28,6 +28,7 @@ use crate::pool::{PoolConfig, ShardHealth, ShardPool};
 use crate::ring::HashRing;
 use crate::tail::{spawn_cluster_tail, stream_cluster_tail, ClusterTail};
 use ofscil_obs::{Event, EventKind, EventSink, Obs, ObsCursor, ObsQuery, ObsResult};
+use ofscil_serve::bytes::{ByteReader, ByteWriter, DecodeError};
 use ofscil_serve::{DeploymentStats, ServeError, ServeRequest, ServeResponse};
 use ofscil_store::OpLog;
 use ofscil_wire::codec::{decode_request, encode_response, WireRequest};
@@ -198,31 +199,23 @@ pub(crate) struct Shared {
 /// Record kind of a placement override in the journal.
 const PLACEMENT_KIND_OVERRIDE: u8 = 0x01;
 
-/// Body of an override record: deployment string (u32 LE length + UTF-8
-/// bytes) followed by the owning shard id (u64 LE).
+/// Body of an override record: deployment string (`u32`-prefixed UTF-8)
+/// followed by the owning shard id (`u64`).
 fn encode_override(deployment: &str, shard: usize) -> Vec<u8> {
-    let mut body = Vec::with_capacity(12 + deployment.len());
-    body.extend_from_slice(&(deployment.len() as u32).to_le_bytes());
-    body.extend_from_slice(deployment.as_bytes());
-    body.extend_from_slice(&(shard as u64).to_le_bytes());
-    body
+    let mut w = ByteWriter::with_capacity(12 + deployment.len());
+    w.string_u32(deployment);
+    w.u64(shard as u64);
+    w.into_bytes()
 }
 
-/// Inverse of [`encode_override`]; `None` for malformed bodies (skipped on
-/// replay — the journal's per-record checksum already filtered corruption,
-/// so this only guards against foreign records).
-fn decode_override(body: &[u8]) -> Option<(String, usize)> {
-    if body.len() < 12 {
-        return None;
-    }
-    let len = u32::from_le_bytes(body[0..4].try_into().ok()?) as usize;
-    if body.len() != 12 + len {
-        return None;
-    }
-    let name = std::str::from_utf8(&body[4..4 + len]).ok()?.to_string();
-    let shard =
-        usize::try_from(u64::from_le_bytes(body[4 + len..].try_into().ok()?)).ok()?;
-    Some((name, shard))
+/// Inverse of [`encode_override`]. Malformed bodies are skipped on replay —
+/// the journal's per-record checksum already filtered corruption, so this
+/// only guards against foreign records.
+fn decode_override(body: &[u8]) -> Result<(String, usize), DecodeError> {
+    let mut r = ByteReader::new(body);
+    let placement = (r.string_u32()?, r.usize("shard")?);
+    r.finish()?;
+    Ok(placement)
 }
 
 /// Appends one override record to the journal, if one is configured.
@@ -748,7 +741,7 @@ impl RouterServer {
                     if kind != PLACEMENT_KIND_OVERRIDE {
                         continue;
                     }
-                    if let Some((name, shard)) = decode_override(&body) {
+                    if let Ok((name, shard)) = decode_override(&body) {
                         if shard < config.shards.len() {
                             location.insert(name, shard);
                         }
@@ -1048,6 +1041,7 @@ fn query_follower_obs(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ofscil_tensor::SeedRng;
 
     #[test]
     fn config_validation_catches_zero_knobs() {
@@ -1066,11 +1060,45 @@ mod tests {
     #[test]
     fn placement_override_records_roundtrip() {
         let body = encode_override("tenant-a", 3);
-        assert_eq!(decode_override(&body), Some(("tenant-a".into(), 3)));
-        assert!(decode_override(&body[..body.len() - 1]).is_none());
-        assert!(decode_override(&[]).is_none());
+        let hex: String = body.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, "0800000074656e616e742d610300000000000000");
+        assert_eq!(decode_override(&body), Ok(("tenant-a".into(), 3)));
+        assert!(decode_override(&body[..body.len() - 1]).is_err());
+        assert!(decode_override(&[]).is_err());
         let empty = encode_override("", 0);
-        assert_eq!(decode_override(&empty), Some((String::new(), 0)));
+        assert_eq!(decode_override(&empty), Ok((String::new(), 0)));
+    }
+
+    /// Seeded hostile inputs for a decoder: every truncation of `valid`, every
+    /// single-bit flip of it, and 256 random bodies up to twice its length.
+    fn hostile_variants(valid: &[u8], seed: u64) -> Vec<Vec<u8>> {
+        let flips = (0..valid.len() * 8).map(|bit| {
+            let mut flipped = valid.to_vec();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            flipped
+        });
+        let mut rng = SeedRng::new(seed);
+        let random: Vec<Vec<u8>> = (0..256)
+            .map(|_| {
+                let mut body = vec![0u8; rng.below(2 * valid.len() + 1)];
+                rng.fill_bytes(&mut body);
+                body
+            })
+            .collect();
+        (0..valid.len()).map(|cut| valid[..cut].to_vec()).chain(flips).chain(random).collect()
+    }
+
+    /// Seeded hostile override bodies: each decodes to a typed error (the
+    /// record is skipped on replay) or to a placement that re-encodes to
+    /// exactly the same bytes — never a panic.
+    #[test]
+    fn hostile_bytes_never_panic_the_override_decoder() {
+        let body = encode_override("tenant-é", 3);
+        for hostile in hostile_variants(&body, 0x7c1) {
+            if let Ok((name, shard)) = decode_override(&hostile) {
+                assert_eq!(encode_override(&name, shard), hostile);
+            }
+        }
     }
 
     #[test]
@@ -1093,7 +1121,7 @@ mod tests {
             if kind != PLACEMENT_KIND_OVERRIDE {
                 continue;
             }
-            if let Some((name, shard)) = decode_override(&body) {
+            if let Ok((name, shard)) = decode_override(&body) {
                 if shard < shards {
                     location.insert(name, shard);
                 }

@@ -34,6 +34,8 @@
 //! * [`snapshot`] — an in-tree binary codec that round-trips the explicit
 //!   memory bit-exactly for warm restart and replication (the workspace's
 //!   `serde` stand-in is marker-only, so the wire format lives here),
+//! * [`bytes`] — the one byte reader/writer, typed decode error and FNV-1a
+//!   under the snapshot and every downstream format (wire, store, router),
 //! * replication hooks — [`ServeRuntime::run_replicated`] streams every
 //!   committed `LearnOnline` as a sequence-numbered [`LearnCommit`], and a
 //!   runtime configured [`read_only`](ServeConfig::read_only) serves replica
@@ -79,6 +81,7 @@
 #![warn(missing_docs)]
 
 mod batch;
+pub mod bytes;
 mod config;
 mod error;
 mod journal;

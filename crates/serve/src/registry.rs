@@ -525,12 +525,7 @@ impl Deployment {
 
 /// FNV-1a over a name — the shard selector.
 fn shard_of(name: &str, shards: usize) -> usize {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in name.as_bytes() {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (hash % shards as u64) as usize
+    (crate::bytes::fnv1a64(name.as_bytes()) % shards as u64) as usize
 }
 
 /// A sharded registry of independent [`OFscilModel`] deployments.
@@ -573,9 +568,20 @@ impl LearnerRegistry {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::DuplicateDeployment`] when the name is taken and
-    /// a pricing error when the spec's core count is invalid for the device.
+    /// Returns [`ServeError::DuplicateDeployment`] when the name is taken,
+    /// [`ServeError::InvalidConfig`] when the name is longer than
+    /// `u16::MAX` bytes, and a pricing error when the spec's core count is
+    /// invalid for the device.
     pub fn register(&self, spec: DeploymentSpec, model: OFscilModel) -> Result<()> {
+        // The obs spill stores names behind a u16 length prefix, so every
+        // accepted name must round-trip through it whole.
+        if spec.name.len() > usize::from(u16::MAX) {
+            return Err(ServeError::InvalidConfig(format!(
+                "deployment name is {} bytes, longer than the {}-byte limit",
+                spec.name.len(),
+                u16::MAX
+            )));
+        }
         let basis = PricingBasis {
             gap9: spec.gap9.clone(),
             cores: spec.cores,
@@ -993,6 +999,30 @@ mod tests {
     fn micro_model(seed: u64) -> OFscilModel {
         let mut rng = SeedRng::new(seed);
         OFscilModel::new(BackboneKind::Micro, 16, &mut rng)
+    }
+
+    /// Registry shard selection of fixed names, recorded before `shard_of`
+    /// moved onto `ofscil_serve::bytes::fnv1a64`.
+    #[test]
+    fn shard_of_fixed_names_matches_the_golden_hash() {
+        let shards: Vec<usize> =
+            ["", "a", "tenant-a", "tenant-b", "λ"].iter().map(|n| shard_of(n, 16)).collect();
+        assert_eq!(shards, [5, 12, 11, 14, 14]);
+    }
+
+    #[test]
+    fn names_longer_than_the_spill_prefix_are_rejected() {
+        let registry = LearnerRegistry::new();
+        let longest = "é".repeat(32_767) + "x";
+        assert_eq!(longest.len(), usize::from(u16::MAX));
+        registry.register(DeploymentSpec::new(&longest, (8, 8)), micro_model(1)).unwrap();
+        registry.resolve(&longest).unwrap();
+        let too_long = "é".repeat(32_768);
+        assert!(matches!(
+            registry.register(DeploymentSpec::new(&too_long, (8, 8)), micro_model(2)),
+            Err(ServeError::InvalidConfig(_))
+        ));
+        assert!(registry.resolve(&too_long).is_err());
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! The workspace's `serde` stand-in is marker-only (see
 //! `third_party/README.md`), so warm restart and replication need an in-tree
-//! wire format. The codec is deliberately tiny and fully self-describing:
+//! wire format. The codec is deliberately tiny and fully self-describing,
+//! written with the crate's [`bytes`](crate::bytes) codec:
 //!
 //! ```text
 //! offset  size  field
@@ -22,6 +23,9 @@
 //! `snapshot_roundtrip` integration test asserts across dimensions, class
 //! counts and every [`PrototypePrecision`] variant.
 
+use crate::bytes::{
+    verify_checksum, ByteReader, ByteWriter, ChecksumMismatch, DecodeError, CHECKSUM_LEN,
+};
 use crate::{Result, ServeError};
 use ofscil_core::ExplicitMemory;
 use ofscil_quant::PrototypePrecision;
@@ -35,7 +39,6 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"OFEM";
 pub const SNAPSHOT_VERSION: u16 = 1;
 
 const HEADER_LEN: usize = 16;
-const CHECKSUM_LEN: usize = 4;
 
 /// Decode-time failure of the snapshot codec.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,6 +72,8 @@ pub enum SnapshotError {
     BadPrecision(u8),
     /// A stored class id does not fit in `usize` on this platform.
     ClassOverflow(u64),
+    /// Any other field the shared byte reader refused.
+    Decode(DecodeError),
 }
 
 impl fmt::Display for SnapshotError {
@@ -95,21 +100,22 @@ impl fmt::Display for SnapshotError {
             SnapshotError::ClassOverflow(class) => {
                 write!(f, "snapshot class id {class} overflows usize on this platform")
             }
+            SnapshotError::Decode(e) => write!(f, "snapshot field malformed: {e}"),
         }
     }
 }
 
 impl Error for SnapshotError {}
 
-/// FNV-1a 32-bit hash — small, dependency-free corruption detection. Not a
-/// cryptographic integrity check.
-fn fnv1a(bytes: &[u8]) -> u32 {
-    let mut hash: u32 = 0x811c_9dc5;
-    for &b in bytes {
-        hash ^= u32::from(b);
-        hash = hash.wrapping_mul(0x0100_0193);
+// The snapshot is the only format this crate decodes, so a reader failure
+// here is always a snapshot error.
+impl From<DecodeError> for ServeError {
+    fn from(e: DecodeError) -> Self {
+        ServeError::Snapshot(match e {
+            DecodeError::ValueOverflow { value, .. } => SnapshotError::ClassOverflow(value),
+            other => SnapshotError::Decode(other),
+        })
     }
-    hash
 }
 
 /// Serializes an explicit memory to the snapshot wire format.
@@ -120,23 +126,21 @@ fn fnv1a(bytes: &[u8]) -> u32 {
 pub fn encode_explicit_memory(em: &ExplicitMemory) -> Vec<u8> {
     let dim = em.dim();
     let count = em.num_classes();
-    let mut bytes =
-        Vec::with_capacity(HEADER_LEN + count * (8 + dim * 4) + CHECKSUM_LEN);
-    bytes.extend_from_slice(&SNAPSHOT_MAGIC);
-    bytes.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    bytes.push(em.precision().bits());
-    bytes.push(0u8);
-    bytes.extend_from_slice(&(dim as u32).to_le_bytes());
-    bytes.extend_from_slice(&(count as u32).to_le_bytes());
+    let mut w = ByteWriter::with_capacity(HEADER_LEN + count * (8 + dim * 4) + CHECKSUM_LEN);
+    w.raw(&SNAPSHOT_MAGIC);
+    w.u16(SNAPSHOT_VERSION);
+    w.u8(em.precision().bits());
+    w.u8(0);
+    w.u32(dim as u32);
+    w.u32(count as u32);
     for (class, prototype) in em.iter() {
-        bytes.extend_from_slice(&(class as u64).to_le_bytes());
+        w.u64(class as u64);
         for &v in prototype {
-            bytes.extend_from_slice(&v.to_bits().to_le_bytes());
+            w.f32(v);
         }
     }
-    let checksum = fnv1a(&bytes);
-    bytes.extend_from_slice(&checksum.to_le_bytes());
-    bytes
+    w.checksum_since(0);
+    w.into_bytes()
 }
 
 /// Deserializes an explicit memory from the snapshot wire format.
@@ -151,17 +155,19 @@ pub fn decode_explicit_memory(bytes: &[u8]) -> Result<ExplicitMemory> {
     if bytes.len() < min {
         return Err(SnapshotError::Truncated { needed: min, actual: bytes.len() }.into());
     }
-    let magic: [u8; 4] = bytes[0..4].try_into().expect("length checked");
+    let mut r = ByteReader::new(bytes);
+    let magic = r.array()?;
     if magic != SNAPSHOT_MAGIC {
         return Err(SnapshotError::BadMagic(magic).into());
     }
-    let version = u16::from_le_bytes(bytes[4..6].try_into().expect("length checked"));
+    let version = r.u16()?;
     if version != SNAPSHOT_VERSION {
         return Err(SnapshotError::UnsupportedVersion(version).into());
     }
-    let bits = bytes[6];
-    let dim = u32::from_le_bytes(bytes[8..12].try_into().expect("length checked")) as usize;
-    let count = u32::from_le_bytes(bytes[12..16].try_into().expect("length checked")) as usize;
+    let bits = r.u8()?;
+    r.u8()?; // reserved
+    let dim = r.u32()? as usize;
+    let count = r.u32()? as usize;
     // Header fields are corruption-controlled: compute the implied length in
     // u128 so absurd dim/count values fail the comparison instead of
     // overflowing usize (a wrapped value could pass the guard and panic in
@@ -175,30 +181,18 @@ pub fn decode_explicit_memory(bytes: &[u8]) -> Result<ExplicitMemory> {
         }
         .into());
     }
-    let payload_end = bytes.len() - CHECKSUM_LEN;
-    let stored =
-        u32::from_le_bytes(bytes[payload_end..].try_into().expect("length checked"));
-    let computed = fnv1a(&bytes[..payload_end]);
-    if stored != computed {
-        return Err(SnapshotError::ChecksumMismatch { stored, computed }.into());
-    }
+    verify_checksum(bytes).map_err(|ChecksumMismatch { stored, computed }| {
+        ServeError::Snapshot(SnapshotError::ChecksumMismatch { stored, computed })
+    })?;
     let precision = PrototypePrecision::new(bits)
         .map_err(|_| ServeError::Snapshot(SnapshotError::BadPrecision(bits)))?;
 
     let mut em = ExplicitMemory::with_precision(dim, precision);
-    let mut offset = HEADER_LEN;
     let mut prototype = vec![0.0f32; dim];
     for _ in 0..count {
-        let class_raw =
-            u64::from_le_bytes(bytes[offset..offset + 8].try_into().expect("length checked"));
-        let class = usize::try_from(class_raw)
-            .map_err(|_| ServeError::Snapshot(SnapshotError::ClassOverflow(class_raw)))?;
-        offset += 8;
+        let class = r.usize("class")?;
         for slot in prototype.iter_mut() {
-            let raw =
-                u32::from_le_bytes(bytes[offset..offset + 4].try_into().expect("length checked"));
-            *slot = f32::from_bits(raw);
-            offset += 4;
+            *slot = r.f32()?;
         }
         em.restore_prototype(class, &prototype)?;
     }

@@ -142,6 +142,43 @@ fn corrupted_headers_are_rejected() {
     decode_explicit_memory(&bytes).unwrap();
 }
 
+/// Seeded hostile inputs for a decoder: every truncation of `valid`, every
+/// single-bit flip of it, and 256 random bodies up to twice its length.
+fn hostile_variants(valid: &[u8], seed: u64) -> Vec<Vec<u8>> {
+    let flips = (0..valid.len() * 8).map(|bit| {
+        let mut flipped = valid.to_vec();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        flipped
+    });
+    let mut rng = SeedRng::new(seed);
+    let random: Vec<Vec<u8>> = (0..256)
+        .map(|_| {
+            let mut body = vec![0u8; rng.below(2 * valid.len() + 1)];
+            rng.fill_bytes(&mut body);
+            body
+        })
+        .collect();
+    (0..valid.len()).map(|cut| valid[..cut].to_vec()).chain(flips).chain(random).collect()
+}
+
+/// Seeded hostile snapshots — every truncation, every single-bit flip and
+/// random bodies, each also with its checksum re-sealed so the damage reaches
+/// the field decoders behind the trailer — must decode to a typed error or a
+/// memory, never panic.
+#[test]
+fn hostile_bytes_never_panic_the_snapshot_decoder() {
+    let mut rng = SeedRng::new(0x5a9);
+    let bytes = encode_explicit_memory(&random_memory(4, 3, PrototypePrecision::new(32).unwrap(), &mut rng));
+    for hostile in hostile_variants(&bytes, 0x5a9) {
+        let _ = decode_explicit_memory(&hostile);
+        if hostile.len() >= 4 {
+            let mut resealed = hostile;
+            patch_checksum(&mut resealed);
+            let _ = decode_explicit_memory(&resealed);
+        }
+    }
+}
+
 /// Recomputes the trailing FNV-1a checksum after an intentional header edit,
 /// mirroring the encoder.
 fn patch_checksum(bytes: &mut [u8]) {
@@ -152,4 +189,20 @@ fn patch_checksum(bytes: &mut [u8]) {
         hash = hash.wrapping_mul(0x0100_0193);
     }
     bytes[payload_end..].copy_from_slice(&hash.to_le_bytes());
+}
+
+/// The snapshot v1 bytes of a fixed two-class memory, recorded before the
+/// codec moved onto `ofscil_serve::bytes`: the format must not drift.
+#[test]
+fn snapshot_bytes_match_the_golden_encoding() {
+    let mut em = ExplicitMemory::with_precision(3, PrototypePrecision::new(8).unwrap());
+    em.restore_prototype(0, &[0.5, -0.25, 1.0]).unwrap();
+    em.restore_prototype(5, &[-1.5, 0.0, f32::MIN_POSITIVE]).unwrap();
+    let hex: String =
+        encode_explicit_memory(&em).iter().map(|b| format!("{b:02x}")).collect();
+    assert_eq!(
+        hex,
+        "4f46454d01000800030000000200000000000000000000000000003f000080be0000803f05000000000000\
+         000000c0bf0000000000008000aca8ffbb"
+    );
 }

@@ -73,15 +73,39 @@ mod wal;
 
 pub use error::StoreError;
 pub use obs_spill::{
-    ObsSpill, SpillRecovery, SpillStats, DEFAULT_SPILL_BUDGET, REC_CHUNK, REC_ROLLUP,
-    SPILL_FILE,
+    read_event, read_rollup, read_summary, write_event, write_rollup, write_summary, ObsSpill,
+    ReadName, SpillRecovery, SpillStats, DEFAULT_SPILL_BUDGET, REC_CHUNK, REC_ROLLUP, SPILL_FILE,
 };
 pub use oplog::{OpLog, RawRecord, SyncPolicy, LOG_MAGIC, LOG_VERSION};
 pub use store::{RecoveryReport, Store, StoreConfig};
 pub use wal::{
-    compact_records, replay, Checkpoint, DeploymentState, WalRecord, CHECKPOINT_MAGIC,
-    CHECKPOINT_VERSION,
+    compact_records, read_updates, replay, write_updates, Checkpoint, DeploymentState,
+    WalRecord, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
 };
 
 /// Result alias used across the store crate.
 pub type Result<T> = std::result::Result<T, StoreError>;
+
+#[cfg(test)]
+mod test_support {
+    use ofscil_tensor::SeedRng;
+
+    /// Seeded hostile inputs for a decoder: every truncation of `valid`, every
+    /// single-bit flip of it, and 256 random bodies up to twice its length.
+    pub(crate) fn hostile_variants(valid: &[u8], seed: u64) -> Vec<Vec<u8>> {
+        let flips = (0..valid.len() * 8).map(|bit| {
+            let mut flipped = valid.to_vec();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            flipped
+        });
+        let mut rng = SeedRng::new(seed);
+        let random: Vec<Vec<u8>> = (0..256)
+            .map(|_| {
+                let mut body = vec![0u8; rng.below(2 * valid.len() + 1)];
+                rng.fill_bytes(&mut body);
+                body
+            })
+            .collect();
+        (0..valid.len()).map(|cut| valid[..cut].to_vec()).chain(flips).chain(random).collect()
+    }
+}

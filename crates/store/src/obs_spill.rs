@@ -2,10 +2,10 @@
 //! written through the [`OpLog`] record codec, GC'd by epoch into rollup
 //! records, rehydrated on restart.
 //!
-//! The file at [`SPILL_FILE`] is an ordinary store record log — same magic,
-//! same per-record FNV-1a checksum, same torn-tail truncation on open — so a
-//! kill mid-spill costs at most the unacknowledged tail record. Two record
-//! kinds live in it:
+//! The file at [`SPILL_FILE`] is an ordinary store record log — same framing,
+//! same torn-tail truncation on open — so a kill mid-spill costs at most the
+//! unacknowledged tail record. Record bodies use the `ofscil_serve::bytes`
+//! conventions, with `u16`-prefixed names. Two record kinds live in it:
 //!
 //! * **chunk** ([`REC_CHUNK`]): one sealed, time-sorted chunk, row by row,
 //! * **rollup** ([`REC_ROLLUP`]): one per-minute [`Rollup`] cell — what a
@@ -20,10 +20,11 @@
 //! the serving path that triggered a seal.
 
 use crate::error::StoreError;
-use crate::oplog::{OpLog, RawRecord};
+use crate::oplog::{OpLog, RawRecord, HEADER_LEN, RECORD_OVERHEAD};
 use ofscil_obs::{
     ChunkSpill, Event, EventKind, ObsCursor, ObsStore, Rollup, Summary, ROLLUP_BUCKET_US,
 };
+use ofscil_serve::bytes::{ByteReader, ByteWriter, DecodeError};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Mutex;
@@ -41,169 +42,115 @@ pub const REC_ROLLUP: u8 = 2;
 /// chunks into rollup records.
 pub const DEFAULT_SPILL_BUDGET: u64 = 16 * 1024 * 1024;
 
-/// kind (1) + length (4) + checksum (4) — [`OpLog`]'s framing overhead,
-/// mirrored here for byte accounting of the in-memory record mirror.
-const RECORD_OVERHEAD: u64 = 9;
-const HEADER_LEN: u64 = 16;
+/// Reads a name the matching writer wrote: [`ByteReader::string_u16`] in
+/// spill records, [`ByteReader::string_u32`] inside wire payloads. The obs
+/// row codec below is shared by both formats and differs only in that prefix.
+pub type ReadName<'a> = fn(&mut ByteReader<'a>) -> Result<String, DecodeError>;
 
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
+fn read_kind(r: &mut ByteReader<'_>, field: &'static str) -> Result<EventKind, DecodeError> {
+    let tag = r.u8()?;
+    EventKind::from_code(tag).ok_or(DecodeError::BadTag { field, tag })
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// Appends a [`Summary`]: min, max, sum (`f64` bits) and count.
+pub fn write_summary(w: &mut ByteWriter, summary: &Summary) {
+    w.f64(summary.min);
+    w.f64(summary.max);
+    w.f64(summary.sum);
+    w.u64(summary.count);
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// Reads a [`Summary`] written by [`write_summary`].
+pub fn read_summary(r: &mut ByteReader<'_>) -> Result<Summary, DecodeError> {
+    Ok(Summary { min: r.f64()?, max: r.f64()?, sum: r.f64()?, count: r.u64()? })
 }
 
-fn put_string(out: &mut Vec<u8>, s: &str) {
-    let bytes = s.as_bytes();
-    put_u16(out, bytes.len().min(u16::MAX as usize) as u16);
-    out.extend_from_slice(&bytes[..bytes.len().min(u16::MAX as usize)]);
+/// Appends one obs event row: name, kind, seq, time, energy, latency,
+/// accuracy and WAL bytes.
+pub fn write_event(w: &mut ByteWriter, event: &Event, write_name: fn(&mut ByteWriter, &str)) {
+    write_name(w, &event.deployment);
+    w.u8(event.kind.code());
+    w.u64(event.seq);
+    w.u64(event.time_us);
+    w.f64(event.energy_mj);
+    w.u64(event.latency_us);
+    w.f32(event.accuracy);
+    w.u64(event.wal_bytes);
 }
 
-fn put_summary(out: &mut Vec<u8>, s: &Summary) {
-    put_u64(out, s.min.to_bits());
-    put_u64(out, s.max.to_bits());
-    put_u64(out, s.sum.to_bits());
-    put_u64(out, s.count);
+/// Reads an event row written by [`write_event`].
+pub fn read_event<'a>(
+    r: &mut ByteReader<'a>,
+    read_name: ReadName<'a>,
+) -> Result<Event, DecodeError> {
+    Ok(Event {
+        deployment: read_name(r)?,
+        kind: read_kind(r, "obs event kind")?,
+        seq: r.u64()?,
+        time_us: r.u64()?,
+        energy_mj: r.f64()?,
+        latency_us: r.u64()?,
+        accuracy: r.f32()?,
+        wal_bytes: r.u64()?,
+    })
 }
 
-/// A decode cursor over one record body; every taker returns `None` on
-/// underrun so a short or foreign body skips cleanly instead of panicking.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    off: usize,
+/// Appends one rollup cell: bucket, name, kind, count and three summaries.
+pub fn write_rollup(w: &mut ByteWriter, rollup: &Rollup, write_name: fn(&mut ByteWriter, &str)) {
+    w.u64(rollup.bucket_us);
+    write_name(w, &rollup.deployment);
+    w.u8(rollup.kind.code());
+    w.u64(rollup.count);
+    write_summary(w, &rollup.energy_mj);
+    write_summary(w, &rollup.latency_us);
+    write_summary(w, &rollup.accuracy);
 }
 
-impl<'a> Cursor<'a> {
-    fn new(bytes: &'a [u8]) -> Cursor<'a> {
-        Cursor { bytes, off: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.off.checked_add(n)?;
-        if end > self.bytes.len() {
-            return None;
-        }
-        let slice = &self.bytes[self.off..end];
-        self.off = end;
-        Some(slice)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Option<u16> {
-        Some(u16::from_le_bytes(self.take(2)?.try_into().ok()?))
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
-    }
-
-    fn string(&mut self) -> Option<String> {
-        let len = self.u16()? as usize;
-        String::from_utf8(self.take(len)?.to_vec()).ok()
-    }
-
-    fn summary(&mut self) -> Option<Summary> {
-        Some(Summary {
-            min: f64::from_bits(self.u64()?),
-            max: f64::from_bits(self.u64()?),
-            sum: f64::from_bits(self.u64()?),
-            count: self.u64()?,
-        })
-    }
-
-    fn done(&self) -> bool {
-        self.off == self.bytes.len()
-    }
-}
-
-fn encode_event(out: &mut Vec<u8>, event: &Event) {
-    put_string(out, &event.deployment);
-    out.push(event.kind.code());
-    put_u64(out, event.seq);
-    put_u64(out, event.time_us);
-    put_u64(out, event.energy_mj.to_bits());
-    put_u64(out, event.latency_us);
-    put_u32(out, event.accuracy.to_bits());
-    put_u64(out, event.wal_bytes);
-}
-
-fn decode_event(cursor: &mut Cursor) -> Option<Event> {
-    let deployment = cursor.string()?;
-    let kind = EventKind::from_code(cursor.u8()?)?;
-    Some(Event {
-        deployment,
-        kind,
-        seq: cursor.u64()?,
-        time_us: cursor.u64()?,
-        energy_mj: f64::from_bits(cursor.u64()?),
-        latency_us: cursor.u64()?,
-        accuracy: f32::from_bits(cursor.u32()?),
-        wal_bytes: cursor.u64()?,
+/// Reads a rollup cell written by [`write_rollup`].
+pub fn read_rollup<'a>(
+    r: &mut ByteReader<'a>,
+    read_name: ReadName<'a>,
+) -> Result<Rollup, DecodeError> {
+    Ok(Rollup {
+        bucket_us: r.u64()?,
+        deployment: read_name(r)?,
+        kind: read_kind(r, "obs rollup kind")?,
+        count: r.u64()?,
+        energy_mj: read_summary(r)?,
+        latency_us: read_summary(r)?,
+        accuracy: read_summary(r)?,
     })
 }
 
 fn encode_chunk(events: &[Event]) -> Vec<u8> {
-    let mut body = Vec::with_capacity(16 + events.len() * 64);
-    put_u32(&mut body, events.len() as u32);
+    let mut w = ByteWriter::with_capacity(16 + events.len() * 64);
+    w.u32(events.len() as u32);
     for event in events {
-        encode_event(&mut body, event);
+        write_event(&mut w, event, ByteWriter::string_u16);
     }
-    body
+    w.into_bytes()
 }
 
-fn decode_chunk(body: &[u8]) -> Option<Vec<Event>> {
-    let mut cursor = Cursor::new(body);
-    let count = cursor.u32()? as usize;
-    // A length claim bigger than the body could even frame is corrupt.
-    if count > body.len() {
-        return None;
-    }
-    let mut events = Vec::with_capacity(count);
-    for _ in 0..count {
-        events.push(decode_event(&mut cursor)?);
-    }
-    cursor.done().then_some(events)
+fn decode_chunk(body: &[u8]) -> Result<Vec<Event>, DecodeError> {
+    let mut r = ByteReader::new(body);
+    let count = r.count("chunk events", 1)?;
+    let events =
+        (0..count).map(|_| read_event(&mut r, ByteReader::string_u16)).collect::<Result<_, _>>()?;
+    r.finish()?;
+    Ok(events)
 }
 
 fn encode_rollup(rollup: &Rollup) -> Vec<u8> {
-    let mut body = Vec::with_capacity(128);
-    put_u64(&mut body, rollup.bucket_us);
-    put_string(&mut body, &rollup.deployment);
-    body.push(rollup.kind.code());
-    put_u64(&mut body, rollup.count);
-    put_summary(&mut body, &rollup.energy_mj);
-    put_summary(&mut body, &rollup.latency_us);
-    put_summary(&mut body, &rollup.accuracy);
-    body
+    let mut w = ByteWriter::with_capacity(128);
+    write_rollup(&mut w, rollup, ByteWriter::string_u16);
+    w.into_bytes()
 }
 
-fn decode_rollup(body: &[u8]) -> Option<Rollup> {
-    let mut cursor = Cursor::new(body);
-    let bucket_us = cursor.u64()?;
-    let deployment = cursor.string()?;
-    let kind = EventKind::from_code(cursor.u8()?)?;
-    let rollup = Rollup {
-        bucket_us,
-        deployment,
-        kind,
-        count: cursor.u64()?,
-        energy_mj: cursor.summary()?,
-        latency_us: cursor.summary()?,
-        accuracy: cursor.summary()?,
-    };
-    cursor.done().then_some(rollup)
+fn decode_rollup(body: &[u8]) -> Result<Rollup, DecodeError> {
+    let mut r = ByteReader::new(body);
+    let rollup = read_rollup(&mut r, ByteReader::string_u16)?;
+    r.finish()?;
+    Ok(rollup)
 }
 
 /// What a previous life left in the spill file, decoded and ready to adopt.
@@ -304,11 +251,11 @@ struct SpillInner {
 
 impl SpillInner {
     fn mirror_bytes(&self) -> u64 {
-        HEADER_LEN
+        HEADER_LEN as u64
             + self
                 .mirror
                 .iter()
-                .map(|(_, body)| body.len() as u64 + RECORD_OVERHEAD)
+                .map(|(_, body)| (body.len() + RECORD_OVERHEAD) as u64)
                 .sum::<u64>()
     }
 
@@ -332,7 +279,7 @@ impl SpillInner {
         for (kind, body) in &self.mirror {
             match *kind {
                 REC_ROLLUP => {
-                    if let Some(rollup) = decode_rollup(body) {
+                    if let Ok(rollup) = decode_rollup(body) {
                         absorb(rollup);
                     }
                 }
@@ -343,10 +290,10 @@ impl SpillInner {
         // side only grows by bounded cells, so this converges.
         let mut evicted = 0usize;
         let mut remaining_bytes: u64 =
-            chunks.iter().map(|b| b.len() as u64 + RECORD_OVERHEAD).sum();
-        while evicted < chunks.len() && HEADER_LEN + remaining_bytes > self.byte_budget {
-            remaining_bytes -= chunks[evicted].len() as u64 + RECORD_OVERHEAD;
-            if let Some(events) = decode_chunk(&chunks[evicted]) {
+            chunks.iter().map(|b| (b.len() + RECORD_OVERHEAD) as u64).sum();
+        while evicted < chunks.len() && HEADER_LEN as u64 + remaining_bytes > self.byte_budget {
+            remaining_bytes -= (chunks[evicted].len() + RECORD_OVERHEAD) as u64;
+            if let Ok(events) = decode_chunk(&chunks[evicted]) {
                 for event in &events {
                     let key = (Rollup::bucket_of(event.time_us), event.deployment.clone(),
                         event.kind.code());
@@ -415,20 +362,10 @@ impl ObsSpill {
         let mut mirror = Vec::with_capacity(records.len());
         for (kind, body) in records {
             let ok = match kind {
-                REC_CHUNK => match decode_chunk(&body) {
-                    Some(events) => {
-                        recovery.chunks.push(events);
-                        true
-                    }
-                    None => false,
-                },
-                REC_ROLLUP => match decode_rollup(&body) {
-                    Some(rollup) => {
-                        recovery.rollups.push(rollup);
-                        true
-                    }
-                    None => false,
-                },
+                REC_CHUNK => decode_chunk(&body).map(|events| recovery.chunks.push(events)).is_ok(),
+                REC_ROLLUP => {
+                    decode_rollup(&body).map(|rollup| recovery.rollups.push(rollup)).is_ok()
+                }
                 _ => false,
             };
             if ok {
@@ -656,5 +593,50 @@ mod tests {
         assert_eq!(recovery.chunks.len(), 1);
         assert_eq!(recovery.corrupt_records, 2);
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// Chunk and rollup record bodies, byte for byte as recorded before the
+    /// codec moved onto `ofscil_serve::bytes` (u16 string prefixes).
+    #[test]
+    fn chunk_and_rollup_bytes_match_the_golden_encoding() {
+        let hex = |bytes: Vec<u8>| -> String {
+            bytes.iter().map(|b| format!("{b:02x}")).collect()
+        };
+        let first = event("tenant-é", 10, 0).with_accuracy(0.5).with_wal_bytes(9);
+        let chunk = encode_chunk(&[first.clone(), event("t", 20, 1)]);
+        assert_eq!(
+            hex(chunk),
+            "02000000090074656e616e742dc3a90000000000000000000a00000000000000000000000000d03f6400\
+             0000000000000000003f09000000000000000100740001000000000000001400000000000000000000\
+             000000d03f64000000000000000000c07f0000000000000000"
+        );
+        let mut cell = Rollup::new(60_000_000, "tenant-é", EventKind::Infer);
+        cell.observe(&first);
+        assert_eq!(
+            hex(encode_rollup(&cell)),
+            "0087930300000000090074656e616e742dc3a9000100000000000000000000000000d03f0000000000\
+             00d03f000000000000d03f01000000000000000000000000005940000000000000594000000000000059\
+             400100000000000000000000000000e03f000000000000e03f000000000000e03f0100000000000000"
+        );
+    }
+
+    /// Seeded hostile chunk and rollup bodies: each decodes to a typed error
+    /// (counted in `corrupt_records` and skipped on open) or to a value that
+    /// re-encodes to exactly the same bytes — never a panic.
+    #[test]
+    fn hostile_bytes_never_panic_the_chunk_and_rollup_decoders() {
+        let chunk = encode_chunk(&[event("tenant-é", 10, 0), event("t", 20, 1)]);
+        for hostile in crate::test_support::hostile_variants(&chunk, 0x5b1) {
+            if let Ok(events) = decode_chunk(&hostile) {
+                assert_eq!(encode_chunk(&events), hostile);
+            }
+        }
+        let mut cell = Rollup::new(60_000_000, "tenant-é", EventKind::Infer);
+        cell.observe(&event("tenant-é", 10, 0));
+        for hostile in crate::test_support::hostile_variants(&encode_rollup(&cell), 0x5b2) {
+            if let Ok(rollup) = decode_rollup(&hostile) {
+                assert_eq!(encode_rollup(&rollup), hostile);
+            }
+        }
     }
 }

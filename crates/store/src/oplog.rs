@@ -1,6 +1,5 @@
 //! The generic append-only record log under the WAL (and under the router's
-//! placement journal): a file of checksummed `(kind, body)` records in the
-//! same dependency-free style as the snapshot and wire codecs.
+//! placement journal): a file of checksummed `(kind, body)` records.
 //!
 //! ```text
 //! offset  size  field
@@ -14,6 +13,9 @@
 //!                 body      length bytes
 //!                 checksum  u32 LE, FNV-1a over kind + length + body
 //! ```
+//!
+//! Header and records are written with the shared `ofscil_serve::bytes`
+//! codec.
 //!
 //! Appends are flushed per record, so every record the caller was told is
 //! durable survives a process kill. Reads are **torn-tail tolerant**: a
@@ -32,6 +34,7 @@
 //! onto the newer base.
 
 use crate::error::StoreError;
+use ofscil_serve::bytes::{verify_checksum, ByteReader, ByteWriter, DecodeError, CHECKSUM_LEN};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -67,71 +70,57 @@ pub const LOG_MAGIC: [u8; 4] = *b"OFLG";
 /// Current record-log format version.
 pub const LOG_VERSION: u16 = 1;
 
-const HEADER_LEN: usize = 16;
+pub(crate) const HEADER_LEN: usize = 16;
 /// kind (1) + length (4) + checksum (4).
-const RECORD_OVERHEAD: usize = 9;
-
-/// FNV-1a 32-bit hash — small, dependency-free corruption detection. Not a
-/// cryptographic integrity check.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u32 {
-    let mut hash: u32 = 0x811c_9dc5;
-    for &b in bytes {
-        hash ^= u32::from(b);
-        hash = hash.wrapping_mul(0x0100_0193);
-    }
-    hash
-}
+pub(crate) const RECORD_OVERHEAD: usize = 9;
 
 /// One raw log record: the kind byte plus an opaque body the layer above
 /// interprets (WAL records, placement overrides).
 pub type RawRecord = (u8, Vec<u8>);
 
-/// Serializes one record (kind + length + body + checksum) into `out`.
-fn encode_record(out: &mut Vec<u8>, kind: u8, body: &[u8]) {
-    let start = out.len();
-    out.push(kind);
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(body);
-    let checksum = fnv1a(&out[start..]);
-    out.extend_from_slice(&checksum.to_le_bytes());
+/// Serializes one record (kind + length + body + checksum) into `w`.
+fn encode_record(w: &mut ByteWriter, kind: u8, body: &[u8]) {
+    let start = w.as_slice().len();
+    w.u8(kind);
+    w.bytes_u32(body);
+    w.checksum_since(start);
 }
 
-/// Parses records from `bytes` (which excludes the file header). Returns the
-/// intact records and the length of the valid prefix; anything past it is a
-/// torn or corrupt tail the caller should truncate.
-fn parse_records(bytes: &[u8]) -> (Vec<RawRecord>, usize) {
+/// Reads records off `r` (a reader over `bytes`) until the first torn or
+/// corrupt one. Returns the intact records and the offset their valid prefix
+/// ends at; anything past it is a torn or corrupt tail the caller should
+/// truncate.
+fn read_records(bytes: &[u8], r: &mut ByteReader<'_>) -> (Vec<RawRecord>, usize) {
     let mut records = Vec::new();
-    let mut offset = 0usize;
-    loop {
-        let rest = &bytes[offset..];
-        if rest.len() < RECORD_OVERHEAD {
+    let mut end = r.offset();
+    while let (Ok(kind), Ok(body), Ok(_)) =
+        (r.u8(), r.bytes_u32("record body"), r.take(CHECKSUM_LEN))
+    {
+        if verify_checksum(&bytes[end..r.offset()]).is_err() {
             break;
         }
-        let kind = rest[0];
-        let len = u32::from_le_bytes(rest[1..5].try_into().expect("length checked")) as usize;
-        let Some(total) = len.checked_add(RECORD_OVERHEAD) else { break };
-        if rest.len() < total {
-            break;
-        }
-        let stored = u32::from_le_bytes(
-            rest[5 + len..total].try_into().expect("length checked"),
-        );
-        if stored != fnv1a(&rest[..5 + len]) {
-            break;
-        }
-        records.push((kind, rest[5..5 + len].to_vec()));
-        offset += total;
+        records.push((kind, body.to_vec()));
+        end = r.offset();
     }
-    (records, offset)
+    (records, end)
 }
 
-fn header_bytes(epoch: u64) -> Vec<u8> {
-    let mut header = Vec::with_capacity(HEADER_LEN);
-    header.extend_from_slice(&LOG_MAGIC);
-    header.extend_from_slice(&LOG_VERSION.to_le_bytes());
-    header.extend_from_slice(&[0u8; 2]);
-    header.extend_from_slice(&epoch.to_le_bytes());
-    header
+/// A writer holding the file header, ready for records.
+fn header(epoch: u64) -> ByteWriter {
+    let mut w = ByteWriter::with_capacity(HEADER_LEN);
+    w.raw(&LOG_MAGIC);
+    w.u16(LOG_VERSION);
+    w.u16(0);
+    w.u64(epoch);
+    w
+}
+
+/// Reads the file header: `(magic, version, epoch)`.
+fn read_header(r: &mut ByteReader<'_>) -> Result<([u8; 4], u16, u64), DecodeError> {
+    let magic = r.array()?;
+    let version = r.u16()?;
+    r.u16()?; // reserved
+    Ok((magic, version, r.u64()?))
 }
 
 /// An open append handle on one record log file.
@@ -169,16 +158,17 @@ impl OpLog {
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
 
-        if bytes.len() < HEADER_LEN {
+        let mut r = ByteReader::new(&bytes);
+        let Ok((magic, version, epoch)) = read_header(&mut r) else {
             // Brand new, or a header torn mid-write (which can hold no
             // records): start fresh — but only if what is there is a prefix
             // of our own magic/version/reserved preamble (a torn epoch is
             // fine: no records can exist behind a torn header). A short
             // *foreign* file is rejected like a full-size one, not
             // destroyed.
-            let preamble = header_bytes(0);
+            let fresh = header(0);
             let check = bytes.len().min(8);
-            if bytes[..check] != preamble[..check] {
+            if bytes[..check] != fresh.as_slice()[..check] {
                 return Err(StoreError::BadLogHeader {
                     path: path.display().to_string(),
                     detail: format!(
@@ -189,7 +179,7 @@ impl OpLog {
             }
             file.set_len(0)?;
             file.seek(SeekFrom::Start(0))?;
-            file.write_all(&header_bytes(0))?;
+            file.write_all(fresh.as_slice())?;
             file.flush()?;
             return Ok((
                 OpLog {
@@ -204,14 +194,13 @@ impl OpLog {
                 },
                 Vec::new(),
             ));
-        }
-        if bytes[0..4] != LOG_MAGIC {
+        };
+        if magic != LOG_MAGIC {
             return Err(StoreError::BadLogHeader {
                 path: path.display().to_string(),
-                detail: format!("magic {:?} (expected {LOG_MAGIC:?})", &bytes[0..4]),
+                detail: format!("magic {magic:?} (expected {LOG_MAGIC:?})"),
             });
         }
-        let version = u16::from_le_bytes(bytes[4..6].try_into().expect("length checked"));
         if version != LOG_VERSION {
             return Err(StoreError::BadLogHeader {
                 path: path.display().to_string(),
@@ -219,9 +208,8 @@ impl OpLog {
             });
         }
 
-        let epoch = u64::from_le_bytes(bytes[8..16].try_into().expect("length checked"));
-        let (records, valid) = parse_records(&bytes[HEADER_LEN..]);
-        let end = (HEADER_LEN + valid) as u64;
+        let (records, end) = read_records(&bytes, &mut r);
+        let end = end as u64;
         if end < bytes.len() as u64 {
             // Torn or corrupt tail: truncate to the intact prefix.
             file.set_len(end)?;
@@ -260,8 +248,9 @@ impl OpLog {
     /// Returns [`StoreError::Io`] when the write fails; the log is then in an
     /// unknown tail state that the next open repairs by truncation.
     pub fn append(&mut self, kind: u8, body: &[u8]) -> Result<(), StoreError> {
-        let mut buf = Vec::with_capacity(body.len() + RECORD_OVERHEAD);
-        encode_record(&mut buf, kind, body);
+        let mut w = ByteWriter::with_capacity(body.len() + RECORD_OVERHEAD);
+        encode_record(&mut w, kind, body);
+        let buf = w.into_bytes();
         self.file.write_all(&buf)?;
         self.file.flush()?;
         self.records += 1;
@@ -307,10 +296,11 @@ impl OpLog {
         epoch: u64,
     ) -> Result<(), StoreError> {
         let tmp = self.path.with_extension("tmp");
-        let mut buf = header_bytes(epoch);
+        let mut w = header(epoch);
         for (kind, body) in records {
-            encode_record(&mut buf, *kind, body);
+            encode_record(&mut w, *kind, body);
         }
+        let buf = w.into_bytes();
         {
             let mut file = File::create(&tmp)?;
             file.write_all(&buf)?;
@@ -499,6 +489,23 @@ mod tests {
         let (log, records) = OpLog::open(&path).unwrap();
         assert!(records.is_empty());
         assert_eq!(log.records(), 0);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// An `OFLG` v1 header plus one record, byte for byte as recorded before
+    /// the framing moved onto `ofscil_serve::bytes`.
+    #[test]
+    fn header_and_record_bytes_match_the_golden_encoding() {
+        let path = temp_path("golden");
+        let (mut log, _) = OpLog::open(&path).unwrap();
+        log.rewrite_with_epoch(&[(7, b"abc".to_vec())], 5).unwrap();
+        log.append(2, b"").unwrap();
+        let hex: String =
+            std::fs::read(&path).unwrap().iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "4f464c4701000000050000000000000007030000006162635b56ab980200000000955f5f9f"
+        );
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -222,11 +222,11 @@ impl Store {
                     // checksum marks the end of the trustworthy prefix,
                     // exactly like a torn tail.
                     match decode_record(kind, &body) {
-                        Some(record) => {
+                        Ok(record) => {
                             records.push(record);
                             valid.push((kind, body));
                         }
-                        None => break,
+                        Err(_) => break,
                     }
                 }
                 if valid.len() as u64 != wal.records() {

@@ -25,7 +25,8 @@
 //! sequences).
 
 use crate::error::StoreError;
-use crate::oplog::{fnv1a, RawRecord};
+use crate::oplog::RawRecord;
+use ofscil_serve::bytes::{verify_checksum, ByteReader, ByteWriter, ChecksumMismatch, DecodeError};
 use ofscil_serve::{decode_explicit_memory, encode_explicit_memory};
 use std::collections::BTreeMap;
 use std::fs::File;
@@ -94,152 +95,91 @@ impl WalRecord {
 }
 
 // ---------------------------------------------------------------------------
-// Body codec (little-endian, floats as IEEE-754 bits — the house style)
+// Body codec
 // ---------------------------------------------------------------------------
 
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn put_budget(out: &mut Vec<u8>, budget: Option<f64>) {
-    match budget {
-        Some(v) => {
-            out.push(1);
-            put_f64(out, v);
-        }
-        None => out.push(0),
-    }
-}
-
-/// Bounds-checked little cursor; decode failures yield `None` and the caller
-/// treats the record as corrupt (same truncate-the-tail handling as a failed
-/// checksum).
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    offset: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Cursor { bytes, offset: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.offset.checked_add(n)?;
-        if end > self.bytes.len() {
-            return None;
-        }
-        let slice = &self.bytes[self.offset..end];
-        self.offset = end;
-        Some(slice)
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
-    }
-
-    fn f32(&mut self) -> Option<f32> {
-        Some(f32::from_bits(self.u32()?))
-    }
-
-    fn f64(&mut self) -> Option<f64> {
-        Some(f64::from_bits(self.u64()?))
-    }
-
-    fn budget(&mut self) -> Option<Option<f64>> {
-        match self.take(1)?[0] {
-            0 => Some(None),
-            1 => Some(Some(self.f64()?)),
-            _ => None,
+/// Appends `(class, prototype)` updates: the value-logged delta a WAL `Learn`
+/// record and a wire replication `Delta` event both carry.
+pub fn write_updates(w: &mut ByteWriter, updates: &[(u64, Vec<f32>)]) {
+    w.u32(updates.len() as u32);
+    for (class, prototype) in updates {
+        w.u64(*class);
+        w.u32(prototype.len() as u32);
+        for &v in prototype {
+            w.f32(v);
         }
     }
+}
 
-    fn finished(&self) -> bool {
-        self.offset == self.bytes.len()
+/// Reads updates written by [`write_updates`]; every count is checked
+/// against the remaining bytes before allocating.
+pub fn read_updates(r: &mut ByteReader<'_>) -> Result<Vec<(u64, Vec<f32>)>, DecodeError> {
+    // Each update is at least a class id and a dimension count.
+    let count = r.count("updates", 12)?;
+    let mut updates = Vec::with_capacity(count);
+    for _ in 0..count {
+        let class = r.u64()?;
+        let dim = r.count("prototype", 4)?;
+        updates.push((class, (0..dim).map(|_| r.f32()).collect::<Result<_, _>>()?));
     }
+    Ok(updates)
 }
 
 /// Encodes a record into its raw `(kind, body)` form for the op log.
 pub(crate) fn encode_record(record: &WalRecord) -> RawRecord {
-    let mut body = Vec::new();
+    let mut w = ByteWriter::default();
     let kind = match record {
         WalRecord::Learn { seq, total_classes, updates, spent_mj, budget_mj } => {
-            body.extend_from_slice(&seq.to_le_bytes());
-            body.extend_from_slice(&total_classes.to_le_bytes());
-            put_f64(&mut body, *spent_mj);
-            put_budget(&mut body, *budget_mj);
-            body.extend_from_slice(&(updates.len() as u32).to_le_bytes());
-            for (class, prototype) in updates {
-                body.extend_from_slice(&class.to_le_bytes());
-                body.extend_from_slice(&(prototype.len() as u32).to_le_bytes());
-                for &v in prototype {
-                    body.extend_from_slice(&v.to_bits().to_le_bytes());
-                }
-            }
+            w.u64(*seq);
+            w.u64(*total_classes);
+            w.f64(*spent_mj);
+            w.opt_f64(*budget_mj);
+            write_updates(&mut w, updates);
             KIND_LEARN
         }
         WalRecord::Import { seq, snapshot, spent_mj, budget_mj } => {
-            body.extend_from_slice(&seq.to_le_bytes());
-            put_f64(&mut body, *spent_mj);
-            put_budget(&mut body, *budget_mj);
-            body.extend_from_slice(&(snapshot.len() as u32).to_le_bytes());
-            body.extend_from_slice(snapshot);
+            w.u64(*seq);
+            w.f64(*spent_mj);
+            w.opt_f64(*budget_mj);
+            w.bytes_u32(snapshot);
             KIND_IMPORT
         }
         WalRecord::TopUp { seq, spent_mj, budget_mj } => {
-            body.extend_from_slice(&seq.to_le_bytes());
-            put_f64(&mut body, *spent_mj);
-            put_budget(&mut body, *budget_mj);
+            w.u64(*seq);
+            w.f64(*spent_mj);
+            w.opt_f64(*budget_mj);
             KIND_TOP_UP
         }
     };
-    (kind, body)
+    (kind, w.into_bytes())
 }
 
-/// Decodes a raw `(kind, body)` record. `None` marks a record the checksum
+/// Decodes a raw `(kind, body)` record. An error marks a record the checksum
 /// let through but whose body does not parse — treated as corruption.
-pub(crate) fn decode_record(kind: u8, body: &[u8]) -> Option<WalRecord> {
-    let mut c = Cursor::new(body);
+pub(crate) fn decode_record(kind: u8, body: &[u8]) -> Result<WalRecord, DecodeError> {
+    let mut r = ByteReader::new(body);
     let record = match kind {
         KIND_LEARN => {
-            let seq = c.u64()?;
-            let total_classes = c.u64()?;
-            let spent_mj = c.f64()?;
-            let budget_mj = c.budget()?;
-            let count = c.u32()? as usize;
-            let mut updates = Vec::with_capacity(count.min(1024));
-            for _ in 0..count {
-                let class = c.u64()?;
-                let dim = c.u32()? as usize;
-                let mut prototype = Vec::with_capacity(dim.min(65_536));
-                for _ in 0..dim {
-                    prototype.push(c.f32()?);
-                }
-                updates.push((class, prototype));
-            }
+            let seq = r.u64()?;
+            let total_classes = r.u64()?;
+            let spent_mj = r.f64()?;
+            let budget_mj = r.opt_f64()?;
+            let updates = read_updates(&mut r)?;
             WalRecord::Learn { seq, total_classes, updates, spent_mj, budget_mj }
         }
-        KIND_IMPORT => {
-            let seq = c.u64()?;
-            let spent_mj = c.f64()?;
-            let budget_mj = c.budget()?;
-            let len = c.u32()? as usize;
-            let snapshot = c.take(len)?.to_vec();
-            WalRecord::Import { seq, snapshot, spent_mj, budget_mj }
-        }
+        KIND_IMPORT => WalRecord::Import {
+            seq: r.u64()?,
+            spent_mj: r.f64()?,
+            budget_mj: r.opt_f64()?,
+            snapshot: r.bytes_u32("snapshot")?.to_vec(),
+        },
         KIND_TOP_UP => {
-            let seq = c.u64()?;
-            let spent_mj = c.f64()?;
-            let budget_mj = c.budget()?;
-            WalRecord::TopUp { seq, spent_mj, budget_mj }
+            WalRecord::TopUp { seq: r.u64()?, spent_mj: r.f64()?, budget_mj: r.opt_f64()? }
         }
-        _ => return None,
+        tag => return Err(DecodeError::BadTag { field: "wal record kind", tag }),
     };
-    c.finished().then_some(record)
+    r.finish()?;
+    Ok(record)
 }
 
 // ---------------------------------------------------------------------------
@@ -271,19 +211,17 @@ impl Checkpoint {
     /// Serializes the checkpoint to its file format (magic, version, fields,
     /// trailing FNV-1a checksum).
     pub(crate) fn encode(&self) -> Vec<u8> {
-        let mut bytes = Vec::with_capacity(32 + self.snapshot.len());
-        bytes.extend_from_slice(&CHECKPOINT_MAGIC);
-        bytes.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&[0u8; 2]);
-        bytes.extend_from_slice(&self.epoch.to_le_bytes());
-        bytes.extend_from_slice(&self.seq.to_le_bytes());
-        put_f64(&mut bytes, self.spent_mj);
-        put_budget(&mut bytes, self.budget_mj);
-        bytes.extend_from_slice(&(self.snapshot.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&self.snapshot);
-        let checksum = fnv1a(&bytes);
-        bytes.extend_from_slice(&checksum.to_le_bytes());
-        bytes
+        let mut w = ByteWriter::with_capacity(32 + self.snapshot.len());
+        w.raw(&CHECKPOINT_MAGIC);
+        w.u16(CHECKPOINT_VERSION);
+        w.u16(0);
+        w.u64(self.epoch);
+        w.u64(self.seq);
+        w.f64(self.spent_mj);
+        w.opt_f64(self.budget_mj);
+        w.bytes_u32(&self.snapshot);
+        w.checksum_since(0);
+        w.into_bytes()
     }
 
     /// Parses a checkpoint file's bytes.
@@ -297,27 +235,28 @@ impl Checkpoint {
         if bytes[0..4] != CHECKPOINT_MAGIC {
             return Err(format!("bad magic {:?}", &bytes[0..4]));
         }
-        let version = u16::from_le_bytes(bytes[4..6].try_into().expect("length checked"));
+        let version = u16::from_le_bytes([bytes[4], bytes[5]]);
         if version != CHECKPOINT_VERSION {
             return Err(format!("unsupported version {version}"));
         }
-        let payload_end = bytes.len() - 4;
-        let stored = u32::from_le_bytes(bytes[payload_end..].try_into().expect("length checked"));
-        let computed = fnv1a(&bytes[..payload_end]);
-        if stored != computed {
-            return Err(format!("checksum {stored:#010x} != computed {computed:#010x}"));
-        }
-        let mut c = Cursor::new(&bytes[8..payload_end]);
-        let mut parse = || -> Option<Checkpoint> {
-            let epoch = c.u64()?;
-            let seq = c.u64()?;
-            let spent_mj = c.f64()?;
-            let budget_mj = c.budget()?;
-            let len = c.u32()? as usize;
-            let snapshot = c.take(len)?.to_vec();
-            c.finished().then_some(Checkpoint { epoch, seq, spent_mj, budget_mj, snapshot })
+        let covered = verify_checksum(bytes).map_err(|ChecksumMismatch { stored, computed }| {
+            format!("checksum {stored:#010x} != computed {computed:#010x}")
+        })?;
+        Checkpoint::decode_body(&covered[8..]).map_err(|e| format!("body: {e}"))
+    }
+
+    /// The checksummed fields after the fixed magic/version/reserved prefix.
+    fn decode_body(body: &[u8]) -> Result<Checkpoint, DecodeError> {
+        let mut r = ByteReader::new(body);
+        let checkpoint = Checkpoint {
+            epoch: r.u64()?,
+            seq: r.u64()?,
+            spent_mj: r.f64()?,
+            budget_mj: r.opt_f64()?,
+            snapshot: r.bytes_u32("snapshot")?.to_vec(),
         };
-        parse().ok_or_else(|| "truncated or oversized body".to_string())
+        r.finish()?;
+        Ok(checkpoint)
     }
 
     /// Writes the checkpoint to `path` atomically (temporary sibling +
@@ -537,10 +476,10 @@ mod tests {
             assert_eq!(&back, record);
         }
         // Unknown kinds and trailing bytes are rejected, not panics.
-        assert!(decode_record(0x7f, &[]).is_none());
+        assert!(decode_record(0x7f, &[]).is_err());
         let (kind, mut body) = encode_record(&records[2]);
         body.push(0xab);
-        assert!(decode_record(kind, &body).is_none());
+        assert!(decode_record(kind, &body).is_err());
     }
 
     #[test]
@@ -687,5 +626,99 @@ mod tests {
     fn lone_top_up_survives_compaction_verbatim() {
         let records = vec![WalRecord::TopUp { seq: 0, spent_mj: 0.0, budget_mj: Some(5.0) }];
         assert_eq!(compact_records(&records), records);
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Every record kind's body and a checkpoint file, byte for byte as
+    /// recorded before the codec moved onto `ofscil_serve::bytes`.
+    #[test]
+    fn record_and_checkpoint_bytes_match_the_golden_encoding() {
+        let records = [
+            WalRecord::Learn {
+                seq: 7,
+                total_classes: 3,
+                updates: vec![(2, vec![0.5, -1.0])],
+                spent_mj: 12.5,
+                budget_mj: Some(100.0),
+            },
+            WalRecord::Import { seq: 8, snapshot: vec![1, 2, 3], spent_mj: 0.25, budget_mj: None },
+            WalRecord::TopUp { seq: 8, spent_mj: 1.0, budget_mj: Some(55.25) },
+        ];
+        let encoded: Vec<(u8, String)> = records
+            .iter()
+            .map(|record| {
+                let (kind, body) = encode_record(record);
+                (kind, hex(&body))
+            })
+            .collect();
+        let golden: [(u8, &str); 3] = [
+            (
+                1,
+                "070000000000000003000000000000000000000000002940010000000000005940010000000200\
+                 000000000000020000000000003f000080bf",
+            ),
+            (2, "0800000000000000000000000000d03f0003000000010203"),
+            (3, "0800000000000000000000000000f03f010000000000a04b40"),
+        ];
+        assert_eq!(
+            encoded,
+            golden.iter().map(|(k, h)| (*k, h.to_string())).collect::<Vec<_>>()
+        );
+        let checkpoint = Checkpoint {
+            epoch: 2,
+            seq: 9,
+            spent_mj: 3.5,
+            budget_mj: Some(64.0),
+            snapshot: vec![0xab, 0xcd],
+        };
+        assert_eq!(
+            hex(&checkpoint.encode()),
+            "4f46434b01000000020000000000000009000000000000000000000000000c40010000000000005040\
+             02000000abcdc11b6b4a"
+        );
+    }
+
+    /// Seeded hostile bodies for every record kind (and a checkpoint file):
+    /// each decodes to a typed error (the store truncates the log there, or
+    /// reports a corrupt checkpoint) or to a value that re-encodes to
+    /// exactly the same bytes — never a panic.
+    #[test]
+    fn hostile_bytes_never_panic_the_record_decoder() {
+        let records = [
+            WalRecord::Learn {
+                seq: 7,
+                total_classes: 3,
+                updates: vec![(2, vec![0.5, f32::NAN]), (4, vec![])],
+                spent_mj: 12.5,
+                budget_mj: Some(100.0),
+            },
+            WalRecord::Import { seq: 8, snapshot: vec![1, 2, 3], spent_mj: 0.25, budget_mj: None },
+            WalRecord::TopUp { seq: 8, spent_mj: 1.0, budget_mj: Some(55.25) },
+        ];
+        for (i, record) in records.iter().enumerate() {
+            let (kind, body) = encode_record(record);
+            for hostile in crate::test_support::hostile_variants(&body, 0x3a1 + i as u64) {
+                assert!(matches!(decode_record(0x7f, &hostile), Err(DecodeError::BadTag { .. })));
+                if let Ok(decoded) = decode_record(kind, &hostile) {
+                    assert_eq!(encode_record(&decoded), (kind, hostile));
+                }
+            }
+        }
+        // Checkpoint files go through the same decoder harness.
+        let checkpoint = Checkpoint {
+            epoch: 2,
+            seq: 9,
+            spent_mj: 3.5,
+            budget_mj: None,
+            snapshot: vec![0xab, 0xcd],
+        };
+        for hostile in crate::test_support::hostile_variants(&checkpoint.encode(), 0x3a9) {
+            if let Ok(decoded) = Checkpoint::decode(&hostile) {
+                assert_eq!(decoded.encode(), hostile);
+            }
+        }
     }
 }

@@ -1,11 +1,11 @@
 //! Message bodies: the typed serve API and the replication stream on bytes.
 //!
 //! One frame carries one message; the frame's kind byte selects the decoder.
-//! Scalars are little-endian, floats travel as their exact IEEE-754 bit
-//! patterns (the same bit-exactness contract as the snapshot codec — a
-//! prototype that crosses the wire classifies identically on both sides),
-//! strings are length-prefixed UTF-8, and every variable-length field checks
-//! its declared count against the remaining payload *before* allocating.
+//! Bodies follow the `ofscil_serve::bytes` conventions (little-endian
+//! scalars, `u32`-prefixed strings, counts checked before allocating), and
+//! floats travel as their exact IEEE-754 bit patterns — the same
+//! bit-exactness contract as the snapshot codec, so a prototype that crosses
+//! the wire classifies identically on both sides.
 //!
 //! ```text
 //! kind   message
@@ -42,11 +42,16 @@ use crate::error::PayloadError;
 use crate::frame::frame_bytes;
 use ofscil_data::Batch;
 use ofscil_obs::{
-    Event, EventKind, LatencyHistogram, ObsAggregates, ObsCursor, ObsQuery, ObsResult,
-    Resolution, Rollup, Summary, TailBatch, LATENCY_BUCKETS,
+    LatencyHistogram, ObsAggregates, ObsCursor, ObsQuery, ObsResult, Resolution, TailBatch,
+    LATENCY_BUCKETS,
 };
+use ofscil_serve::bytes::{ByteReader, ByteWriter};
 use ofscil_serve::{
     DeploymentExport, DeploymentStats, ExportStats, ServeError, ServeRequest, ServeResponse,
+};
+use ofscil_store::{
+    read_event, read_rollup, read_summary, read_updates, write_event, write_rollup,
+    write_summary, write_updates,
 };
 use ofscil_tensor::Tensor;
 
@@ -206,181 +211,43 @@ pub enum ReplEvent {
 }
 
 // ---------------------------------------------------------------------------
-// Primitive writers
+// Wire-only composite fields
 // ---------------------------------------------------------------------------
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f32(out: &mut Vec<u8>, v: f32) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn put_string(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    put_u32(out, bytes.len() as u32);
-    out.extend_from_slice(bytes);
-}
-
-fn put_tensor(out: &mut Vec<u8>, tensor: &Tensor) {
+fn write_tensor(w: &mut ByteWriter, tensor: &Tensor) {
     let dims = tensor.dims();
-    out.push(dims.len() as u8);
+    w.u8(dims.len() as u8);
     for &d in dims {
-        put_u32(out, d as u32);
+        w.u32(d as u32);
     }
     for &v in tensor.as_slice() {
-        put_f32(out, v);
+        w.f32(v);
     }
 }
 
-fn put_option_f64(out: &mut Vec<u8>, v: Option<f64>) {
-    match v {
-        Some(v) => {
-            out.push(1);
-            put_f64(out, v);
-        }
-        None => out.push(0),
+fn read_tensor(r: &mut ByteReader<'_>) -> Result<Tensor, PayloadError> {
+    let rank = usize::from(r.u8()?);
+    let mut dims = Vec::with_capacity(rank);
+    for _ in 0..rank {
+        dims.push(r.u32()? as usize);
     }
-}
-
-// ---------------------------------------------------------------------------
-// Primitive reader
-// ---------------------------------------------------------------------------
-
-/// A bounds-checked cursor over one message payload. Every accessor returns
-/// a typed [`PayloadError`]; nothing indexes past the end.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    offset: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Reader { bytes, offset: 0 }
+    // Element count in u64 so corrupt dimensions cannot overflow; the
+    // per-element size check below bounds the allocation to the payload.
+    let len = dims
+        .iter()
+        .try_fold(1u64, |acc, &d| acc.checked_mul(d as u64))
+        .filter(|&v| v <= u64::from(u32::MAX));
+    let Some(len) = len else {
+        return Err(PayloadError::LengthOverflow { field: "tensor", declared: u64::MAX });
+    };
+    if len.saturating_mul(4) > r.remaining() as u64 {
+        return Err(PayloadError::LengthOverflow { field: "tensor", declared: len });
     }
-
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.offset
+    let mut data = Vec::with_capacity(len as usize);
+    for _ in 0..len {
+        data.push(r.f32()?);
     }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], PayloadError> {
-        if self.remaining() < n {
-            return Err(PayloadError::Truncated {
-                offset: self.offset,
-                needed: n,
-                remaining: self.remaining(),
-            });
-        }
-        let slice = &self.bytes[self.offset..self.offset + n];
-        self.offset += n;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, PayloadError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, PayloadError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("length checked")))
-    }
-
-    fn u64(&mut self) -> Result<u64, PayloadError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("length checked")))
-    }
-
-    fn f32(&mut self) -> Result<f32, PayloadError> {
-        Ok(f32::from_bits(self.u32()?))
-    }
-
-    fn f64(&mut self) -> Result<f64, PayloadError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn usize_field(&mut self, field: &'static str) -> Result<usize, PayloadError> {
-        let v = self.u64()?;
-        usize::try_from(v).map_err(|_| PayloadError::ValueOverflow { field, value: v })
-    }
-
-    /// Reads a declared element count and proves `count * element_size`
-    /// bytes are actually present before the caller allocates.
-    fn checked_count(
-        &mut self,
-        field: &'static str,
-        element_size: usize,
-    ) -> Result<usize, PayloadError> {
-        let declared = u64::from(self.u32()?);
-        let need = declared.saturating_mul(element_size as u64);
-        if need > self.remaining() as u64 {
-            return Err(PayloadError::LengthOverflow { field, declared });
-        }
-        Ok(declared as usize)
-    }
-
-    fn string(&mut self) -> Result<String, PayloadError> {
-        let len = self.checked_count("string", 1)?;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| PayloadError::BadUtf8)
-    }
-
-    fn bytes_field(&mut self, field: &'static str) -> Result<Vec<u8>, PayloadError> {
-        let len = self.checked_count(field, 1)?;
-        Ok(self.take(len)?.to_vec())
-    }
-
-    fn tensor(&mut self) -> Result<Tensor, PayloadError> {
-        let rank = usize::from(self.u8()?);
-        let mut dims = Vec::with_capacity(rank);
-        for _ in 0..rank {
-            dims.push(self.u32()? as usize);
-        }
-        // Element count in u64 so corrupt dimensions cannot overflow; the
-        // per-element size check below bounds the allocation to the payload.
-        let len = dims
-            .iter()
-            .try_fold(1u64, |acc, &d| acc.checked_mul(d as u64))
-            .filter(|&v| v <= u64::from(u32::MAX));
-        let Some(len) = len else {
-            return Err(PayloadError::LengthOverflow { field: "tensor", declared: u64::MAX });
-        };
-        let need = len.saturating_mul(4);
-        if need > self.remaining() as u64 {
-            return Err(PayloadError::LengthOverflow { field: "tensor", declared: len });
-        }
-        let mut data = Vec::with_capacity(len as usize);
-        for _ in 0..len {
-            data.push(self.f32()?);
-        }
-        Tensor::from_vec(data, &dims).map_err(|e| PayloadError::BadTensor(e.to_string()))
-    }
-
-    fn option_f64(&mut self) -> Result<Option<f64>, PayloadError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.f64()?)),
-            tag => Err(PayloadError::BadTag { field: "option<f64>", tag }),
-        }
-    }
-
-    /// Asserts the payload is fully consumed.
-    fn finish(self) -> Result<(), PayloadError> {
-        if self.remaining() > 0 {
-            return Err(PayloadError::TrailingBytes { remaining: self.remaining() });
-        }
-        Ok(())
-    }
+    Tensor::from_vec(data, &dims).map_err(|e| PayloadError::BadTensor(e.to_string()))
 }
 
 // ---------------------------------------------------------------------------
@@ -389,92 +256,92 @@ impl<'a> Reader<'a> {
 
 /// Encodes a request into one complete frame.
 pub fn encode_request(request: &WireRequest) -> Vec<u8> {
-    let mut payload = Vec::new();
+    let mut w = ByteWriter::default();
     let kind = match request {
         WireRequest::Serve(ServeRequest::Infer { deployment, image }) => {
-            put_string(&mut payload, deployment);
-            put_tensor(&mut payload, image);
+            w.string_u32(deployment);
+            write_tensor(&mut w, image);
             KIND_REQ_INFER
         }
         WireRequest::Serve(ServeRequest::LearnOnline { deployment, batch }) => {
-            put_string(&mut payload, deployment);
-            put_tensor(&mut payload, &batch.images);
-            put_u32(&mut payload, batch.labels.len() as u32);
+            w.string_u32(deployment);
+            write_tensor(&mut w, &batch.images);
+            w.u32(batch.labels.len() as u32);
             for &label in &batch.labels {
-                put_u64(&mut payload, label as u64);
+                w.u64(label as u64);
             }
             KIND_REQ_LEARN
         }
         WireRequest::Serve(ServeRequest::Snapshot { deployment }) => {
-            put_string(&mut payload, deployment);
+            w.string_u32(deployment);
             KIND_REQ_SNAPSHOT
         }
         WireRequest::Serve(ServeRequest::Stats { deployment }) => {
-            put_string(&mut payload, deployment);
+            w.string_u32(deployment);
             KIND_REQ_STATS
         }
         WireRequest::Serve(ServeRequest::TopUpBudget { deployment, energy_mj }) => {
-            put_string(&mut payload, deployment);
-            put_f64(&mut payload, *energy_mj);
+            w.string_u32(deployment);
+            w.f64(*energy_mj);
             KIND_REQ_TOP_UP
         }
         WireRequest::Subscribe { deployment } => {
-            put_string(&mut payload, deployment);
+            w.string_u32(deployment);
             KIND_REQ_SUBSCRIBE
         }
         WireRequest::Export { deployment } => {
-            put_string(&mut payload, deployment);
+            w.string_u32(deployment);
             KIND_REQ_EXPORT
         }
         WireRequest::Import(export) => {
-            put_export(&mut payload, export);
+            write_export(&mut w, export);
             KIND_REQ_IMPORT
         }
         WireRequest::ReAnchor { deployment } => {
-            put_string(&mut payload, deployment);
+            w.string_u32(deployment);
             KIND_REQ_REANCHOR
         }
         WireRequest::ObsQuery(query) => {
-            put_obs_query(&mut payload, query);
+            write_obs_query(&mut w, query);
             KIND_REQ_OBS_QUERY
         }
         WireRequest::ObsSubscribe { query, cursor } => {
-            put_obs_query(&mut payload, query);
+            write_obs_query(&mut w, query);
             match cursor {
                 Some(cursor) => {
-                    payload.push(1);
-                    put_u64(&mut payload, cursor.time_us);
-                    put_u64(&mut payload, cursor.seq);
+                    w.u8(1);
+                    w.u64(cursor.time_us);
+                    w.u64(cursor.seq);
                 }
-                None => payload.push(0),
+                None => w.u8(0),
             }
             KIND_REQ_OBS_SUBSCRIBE
         }
         WireRequest::AdvertiseFollower { upstream, follower } => {
-            put_string(&mut payload, upstream);
-            put_string(&mut payload, follower);
+            w.string_u32(upstream);
+            w.string_u32(follower);
             KIND_REQ_ADVERTISE
         }
     };
-    frame_bytes(kind, &payload)
+    frame_bytes(kind, w.as_slice())
 }
 
 // The obs-filter payload, shared by `ObsQuery` and `ObsSubscribe` requests:
 // deployment-leading (so `peek_request` reads the routing key), then time and
 // sequence windows, kind mask, row limit and resolution byte.
-fn put_obs_query(out: &mut Vec<u8>, query: &ObsQuery) {
-    put_string(out, &query.deployment);
-    put_u64(out, query.time_min);
-    put_u64(out, query.time_max);
-    put_u64(out, query.seq_min);
-    put_u64(out, query.seq_max);
-    put_u32(out, u32::from(query.kinds));
-    put_u32(out, query.limit);
-    out.push(query.resolution.code());
+fn write_obs_query(w: &mut ByteWriter, query: &ObsQuery) {
+    w.string_u32(&query.deployment);
+    w.u64(query.time_min);
+    w.u64(query.time_max);
+    w.u64(query.seq_min);
+    w.u64(query.seq_max);
+    w.u32(u32::from(query.kinds));
+    w.u32(query.limit);
+    w.u8(query.resolution.code());
 }
 
-fn read_obs_query(r: &mut Reader<'_>) -> Result<ObsQuery, PayloadError> {
-    let deployment = r.string()?;
+fn read_obs_query(r: &mut ByteReader<'_>) -> Result<ObsQuery, PayloadError> {
+    let deployment = r.string_u32()?;
     let time_min = r.u64()?;
     let time_max = r.u64()?;
     let seq_min = r.u64()?;
@@ -493,30 +360,30 @@ fn read_obs_query(r: &mut Reader<'_>) -> Result<ObsQuery, PayloadError> {
 // responses: name + replication seq + snapshot bytes, then the billing state
 // (spent/budget millijoules) and the lifetime request counters, so a live
 // migration moves the meter and stats along with the model.
-fn put_export(out: &mut Vec<u8>, export: &DeploymentExport) {
-    put_string(out, &export.name);
-    put_u64(out, export.seq);
-    put_bytes(out, &export.snapshot);
-    put_f64(out, export.spent_mj);
-    put_option_f64(out, export.budget_mj);
+fn write_export(w: &mut ByteWriter, export: &DeploymentExport) {
+    w.string_u32(&export.name);
+    w.u64(export.seq);
+    w.bytes_u32(&export.snapshot);
+    w.f64(export.spent_mj);
+    w.opt_f64(export.budget_mj);
     let stats = &export.stats;
-    put_u64(out, stats.infer_requests);
-    put_u64(out, stats.infer_batches);
-    put_u64(out, stats.largest_batch);
-    put_u64(out, stats.learn_requests);
-    put_u64(out, stats.snapshots);
-    put_u64(out, stats.rejected_infer);
-    put_u64(out, stats.rejected_learn);
-    put_u64(out, stats.deferred);
+    w.u64(stats.infer_requests);
+    w.u64(stats.infer_batches);
+    w.u64(stats.largest_batch);
+    w.u64(stats.learn_requests);
+    w.u64(stats.snapshots);
+    w.u64(stats.rejected_infer);
+    w.u64(stats.rejected_learn);
+    w.u64(stats.deferred);
 }
 
-fn read_export(r: &mut Reader<'_>) -> Result<DeploymentExport, PayloadError> {
+fn read_export(r: &mut ByteReader<'_>) -> Result<DeploymentExport, PayloadError> {
     Ok(DeploymentExport {
-        name: r.string()?,
+        name: r.string_u32()?,
         seq: r.u64()?,
-        snapshot: r.bytes_field("snapshot")?,
+        snapshot: r.bytes_u32("snapshot")?.to_vec(),
         spent_mj: r.f64()?,
-        budget_mj: r.option_f64()?,
+        budget_mj: r.opt_f64()?,
         stats: ExportStats {
             infer_requests: r.u64()?,
             infer_batches: r.u64()?,
@@ -574,9 +441,9 @@ pub fn peek_request(kind: u8, payload: &[u8]) -> Result<RequestPeek, PayloadErro
         | KIND_REQ_TOP_UP | KIND_REQ_SUBSCRIBE | KIND_REQ_EXPORT | KIND_REQ_IMPORT
         | KIND_REQ_REANCHOR | KIND_REQ_OBS_QUERY | KIND_REQ_ADVERTISE
         | KIND_REQ_OBS_SUBSCRIBE => {
-            let mut r = Reader::new(payload);
+            let mut r = ByteReader::new(payload);
             Ok(RequestPeek {
-                deployment: r.string()?,
+                deployment: r.string_u32()?,
                 streaming: matches!(kind, KIND_REQ_SUBSCRIBE | KIND_REQ_OBS_SUBSCRIBE),
                 write: matches!(kind, KIND_REQ_LEARN | KIND_REQ_TOP_UP | KIND_REQ_IMPORT),
                 scatter: kind == KIND_REQ_OBS_QUERY,
@@ -595,19 +462,19 @@ pub fn peek_request(kind: u8, payload: &[u8]) -> Result<RequestPeek, PayloadErro
 /// Returns a typed [`PayloadError`] for unknown kinds and malformed bodies;
 /// never panics.
 pub fn decode_request(kind: u8, payload: &[u8]) -> Result<WireRequest, PayloadError> {
-    let mut r = Reader::new(payload);
+    let mut r = ByteReader::new(payload);
     let request = match kind {
         KIND_REQ_INFER => WireRequest::Serve(ServeRequest::Infer {
-            deployment: r.string()?,
-            image: r.tensor()?,
+            deployment: r.string_u32()?,
+            image: read_tensor(&mut r)?,
         }),
         KIND_REQ_LEARN => {
-            let deployment = r.string()?;
-            let images = r.tensor()?;
-            let count = r.checked_count("labels", 8)?;
+            let deployment = r.string_u32()?;
+            let images = read_tensor(&mut r)?;
+            let count = r.count("labels", 8)?;
             let mut labels = Vec::with_capacity(count);
             for _ in 0..count {
-                labels.push(r.usize_field("label")?);
+                labels.push(r.usize("label")?);
             }
             WireRequest::Serve(ServeRequest::LearnOnline {
                 deployment,
@@ -615,17 +482,17 @@ pub fn decode_request(kind: u8, payload: &[u8]) -> Result<WireRequest, PayloadEr
             })
         }
         KIND_REQ_SNAPSHOT => {
-            WireRequest::Serve(ServeRequest::Snapshot { deployment: r.string()? })
+            WireRequest::Serve(ServeRequest::Snapshot { deployment: r.string_u32()? })
         }
-        KIND_REQ_STATS => WireRequest::Serve(ServeRequest::Stats { deployment: r.string()? }),
+        KIND_REQ_STATS => WireRequest::Serve(ServeRequest::Stats { deployment: r.string_u32()? }),
         KIND_REQ_TOP_UP => WireRequest::Serve(ServeRequest::TopUpBudget {
-            deployment: r.string()?,
+            deployment: r.string_u32()?,
             energy_mj: r.f64()?,
         }),
-        KIND_REQ_SUBSCRIBE => WireRequest::Subscribe { deployment: r.string()? },
-        KIND_REQ_EXPORT => WireRequest::Export { deployment: r.string()? },
+        KIND_REQ_SUBSCRIBE => WireRequest::Subscribe { deployment: r.string_u32()? },
+        KIND_REQ_EXPORT => WireRequest::Export { deployment: r.string_u32()? },
         KIND_REQ_IMPORT => WireRequest::Import(read_export(&mut r)?),
-        KIND_REQ_REANCHOR => WireRequest::ReAnchor { deployment: r.string()? },
+        KIND_REQ_REANCHOR => WireRequest::ReAnchor { deployment: r.string_u32()? },
         KIND_REQ_OBS_QUERY => WireRequest::ObsQuery(read_obs_query(&mut r)?),
         KIND_REQ_OBS_SUBSCRIBE => {
             let query = read_obs_query(&mut r)?;
@@ -637,8 +504,8 @@ pub fn decode_request(kind: u8, payload: &[u8]) -> Result<WireRequest, PayloadEr
             WireRequest::ObsSubscribe { query, cursor }
         }
         KIND_REQ_ADVERTISE => WireRequest::AdvertiseFollower {
-            upstream: r.string()?,
-            follower: r.string()?,
+            upstream: r.string_u32()?,
+            follower: r.string_u32()?,
         },
         other => return Err(PayloadError::UnknownKind(other)),
     };
@@ -665,123 +532,123 @@ const ERR_READ_ONLY_REPLICA: u8 = 8;
 const ERR_SHARD_UNAVAILABLE: u8 = 9;
 const ERR_REPLICATION_LAGGED: u8 = 10;
 
-fn put_serve_error(out: &mut Vec<u8>, error: &ServeError) {
+fn write_serve_error(w: &mut ByteWriter, error: &ServeError) {
     match error {
         ServeError::UnknownDeployment(name) => {
-            out.push(ERR_UNKNOWN_DEPLOYMENT);
-            put_string(out, name);
+            w.u8(ERR_UNKNOWN_DEPLOYMENT);
+            w.string_u32(name);
         }
         ServeError::DuplicateDeployment(name) => {
-            out.push(ERR_DUPLICATE_DEPLOYMENT);
-            put_string(out, name);
+            w.u8(ERR_DUPLICATE_DEPLOYMENT);
+            w.string_u32(name);
         }
         ServeError::BudgetExhausted { deployment, required_mj, remaining_mj } => {
-            out.push(ERR_BUDGET_EXHAUSTED);
-            put_string(out, deployment);
-            put_f64(out, *required_mj);
-            put_f64(out, *remaining_mj);
+            w.u8(ERR_BUDGET_EXHAUSTED);
+            w.string_u32(deployment);
+            w.f64(*required_mj);
+            w.f64(*remaining_mj);
         }
         ServeError::InvalidRequest(msg) => {
-            out.push(ERR_INVALID_REQUEST);
-            put_string(out, msg);
+            w.u8(ERR_INVALID_REQUEST);
+            w.string_u32(msg);
         }
         ServeError::InvalidConfig(msg) => {
-            out.push(ERR_INVALID_CONFIG);
-            put_string(out, msg);
+            w.u8(ERR_INVALID_CONFIG);
+            w.string_u32(msg);
         }
         ServeError::Execution(msg) => {
-            out.push(ERR_EXECUTION);
-            put_string(out, msg);
+            w.u8(ERR_EXECUTION);
+            w.string_u32(msg);
         }
-        ServeError::ShuttingDown => out.push(ERR_SHUTTING_DOWN),
+        ServeError::ShuttingDown => w.u8(ERR_SHUTTING_DOWN),
         ServeError::QueueFull { depth } => {
-            out.push(ERR_QUEUE_FULL);
-            put_u64(out, *depth as u64);
+            w.u8(ERR_QUEUE_FULL);
+            w.u64(*depth as u64);
         }
         ServeError::ReadOnlyReplica { deployment } => {
-            out.push(ERR_READ_ONLY_REPLICA);
-            put_string(out, deployment);
+            w.u8(ERR_READ_ONLY_REPLICA);
+            w.string_u32(deployment);
         }
         ServeError::ShardUnavailable { shard, detail } => {
-            out.push(ERR_SHARD_UNAVAILABLE);
-            put_string(out, shard);
-            put_string(out, detail);
+            w.u8(ERR_SHARD_UNAVAILABLE);
+            w.string_u32(shard);
+            w.string_u32(detail);
         }
         ServeError::ReplicationLagged { deployment } => {
-            out.push(ERR_REPLICATION_LAGGED);
-            put_string(out, deployment);
+            w.u8(ERR_REPLICATION_LAGGED);
+            w.string_u32(deployment);
         }
         // Library-wrapped errors cross the wire as their display form.
         other => {
-            out.push(ERR_EXECUTION);
-            put_string(out, &other.to_string());
+            w.u8(ERR_EXECUTION);
+            w.string_u32(&other.to_string());
         }
     }
 }
 
-fn read_serve_error(r: &mut Reader<'_>) -> Result<ServeError, PayloadError> {
+fn read_serve_error(r: &mut ByteReader<'_>) -> Result<ServeError, PayloadError> {
     Ok(match r.u8()? {
-        ERR_UNKNOWN_DEPLOYMENT => ServeError::UnknownDeployment(r.string()?),
-        ERR_DUPLICATE_DEPLOYMENT => ServeError::DuplicateDeployment(r.string()?),
+        ERR_UNKNOWN_DEPLOYMENT => ServeError::UnknownDeployment(r.string_u32()?),
+        ERR_DUPLICATE_DEPLOYMENT => ServeError::DuplicateDeployment(r.string_u32()?),
         ERR_BUDGET_EXHAUSTED => ServeError::BudgetExhausted {
-            deployment: r.string()?,
+            deployment: r.string_u32()?,
             required_mj: r.f64()?,
             remaining_mj: r.f64()?,
         },
-        ERR_INVALID_REQUEST => ServeError::InvalidRequest(r.string()?),
-        ERR_INVALID_CONFIG => ServeError::InvalidConfig(r.string()?),
-        ERR_EXECUTION => ServeError::Execution(r.string()?),
+        ERR_INVALID_REQUEST => ServeError::InvalidRequest(r.string_u32()?),
+        ERR_INVALID_CONFIG => ServeError::InvalidConfig(r.string_u32()?),
+        ERR_EXECUTION => ServeError::Execution(r.string_u32()?),
         ERR_SHUTTING_DOWN => ServeError::ShuttingDown,
-        ERR_QUEUE_FULL => ServeError::QueueFull { depth: r.usize_field("depth")? },
-        ERR_READ_ONLY_REPLICA => ServeError::ReadOnlyReplica { deployment: r.string()? },
+        ERR_QUEUE_FULL => ServeError::QueueFull { depth: r.usize("depth")? },
+        ERR_READ_ONLY_REPLICA => ServeError::ReadOnlyReplica { deployment: r.string_u32()? },
         ERR_SHARD_UNAVAILABLE => ServeError::ShardUnavailable {
-            shard: r.string()?,
-            detail: r.string()?,
+            shard: r.string_u32()?,
+            detail: r.string_u32()?,
         },
-        ERR_REPLICATION_LAGGED => ServeError::ReplicationLagged { deployment: r.string()? },
+        ERR_REPLICATION_LAGGED => ServeError::ReplicationLagged { deployment: r.string_u32()? },
         tag => return Err(PayloadError::BadTag { field: "serve error", tag }),
     })
 }
 
-fn put_stats(out: &mut Vec<u8>, stats: &DeploymentStats) {
-    put_string(out, &stats.name);
-    put_u64(out, stats.classes as u64);
-    put_u64(out, stats.infer_requests);
-    put_u64(out, stats.infer_batches);
-    put_u64(out, stats.largest_batch as u64);
-    put_u64(out, stats.learn_requests);
-    put_u64(out, stats.snapshots);
-    put_u64(out, stats.rejected_infer);
-    put_u64(out, stats.rejected_learn);
-    put_u64(out, stats.deferred);
-    put_f64(out, stats.energy_spent_mj);
-    put_option_f64(out, stats.energy_budget_mj);
+fn write_stats(w: &mut ByteWriter, stats: &DeploymentStats) {
+    w.string_u32(&stats.name);
+    w.u64(stats.classes as u64);
+    w.u64(stats.infer_requests);
+    w.u64(stats.infer_batches);
+    w.u64(stats.largest_batch as u64);
+    w.u64(stats.learn_requests);
+    w.u64(stats.snapshots);
+    w.u64(stats.rejected_infer);
+    w.u64(stats.rejected_learn);
+    w.u64(stats.deferred);
+    w.f64(stats.energy_spent_mj);
+    w.opt_f64(stats.energy_budget_mj);
     match &stats.durability {
         Some(d) => {
-            out.push(1);
-            put_u64(out, d.wal_records);
-            put_u64(out, d.wal_bytes);
-            put_u64(out, d.compactions);
-            put_u64(out, d.last_checkpoint_seq);
+            w.u8(1);
+            w.u64(d.wal_records);
+            w.u64(d.wal_bytes);
+            w.u64(d.compactions);
+            w.u64(d.last_checkpoint_seq);
         }
-        None => out.push(0),
+        None => w.u8(0),
     }
 }
 
-fn read_stats(r: &mut Reader<'_>) -> Result<DeploymentStats, PayloadError> {
+fn read_stats(r: &mut ByteReader<'_>) -> Result<DeploymentStats, PayloadError> {
     Ok(DeploymentStats {
-        name: r.string()?,
-        classes: r.usize_field("classes")?,
+        name: r.string_u32()?,
+        classes: r.usize("classes")?,
         infer_requests: r.u64()?,
         infer_batches: r.u64()?,
-        largest_batch: r.usize_field("largest_batch")?,
+        largest_batch: r.usize("largest_batch")?,
         learn_requests: r.u64()?,
         snapshots: r.u64()?,
         rejected_infer: r.u64()?,
         rejected_learn: r.u64()?,
         deferred: r.u64()?,
         energy_spent_mj: r.f64()?,
-        energy_budget_mj: r.option_f64()?,
+        energy_budget_mj: r.opt_f64()?,
         durability: match r.u8()? {
             0 => None,
             1 => Some(ofscil_serve::DurabilityStats {
@@ -803,157 +670,84 @@ const OBS_EVENT_MIN_BYTES: usize = 49;
 // prefix (4) + kind (1) + count (8) + three 32-byte summaries.
 const OBS_ROLLUP_MIN_BYTES: usize = 117;
 
-fn put_rollup(out: &mut Vec<u8>, rollup: &Rollup) {
-    put_u64(out, rollup.bucket_us);
-    put_string(out, &rollup.deployment);
-    out.push(rollup.kind.code());
-    put_u64(out, rollup.count);
-    put_summary(out, &rollup.energy_mj);
-    put_summary(out, &rollup.latency_us);
-    put_summary(out, &rollup.accuracy);
-}
-
-fn read_rollup(r: &mut Reader<'_>) -> Result<Rollup, PayloadError> {
-    let bucket_us = r.u64()?;
-    let deployment = r.string()?;
-    let kind_code = r.u8()?;
-    let kind = EventKind::from_code(kind_code)
-        .ok_or(PayloadError::BadTag { field: "obs rollup kind", tag: kind_code })?;
-    Ok(Rollup {
-        bucket_us,
-        deployment,
-        kind,
-        count: r.u64()?,
-        energy_mj: read_summary(r)?,
-        latency_us: read_summary(r)?,
-        accuracy: read_summary(r)?,
-    })
-}
-
-fn put_obs_event(out: &mut Vec<u8>, event: &Event) {
-    put_string(out, &event.deployment);
-    out.push(event.kind.code());
-    put_u64(out, event.seq);
-    put_u64(out, event.time_us);
-    put_f64(out, event.energy_mj);
-    put_u64(out, event.latency_us);
-    put_f32(out, event.accuracy);
-    put_u64(out, event.wal_bytes);
-}
-
-fn read_obs_event(r: &mut Reader<'_>) -> Result<Event, PayloadError> {
-    let deployment = r.string()?;
-    let kind_code = r.u8()?;
-    let kind = EventKind::from_code(kind_code)
-        .ok_or(PayloadError::BadTag { field: "obs event kind", tag: kind_code })?;
-    Ok(Event {
-        deployment,
-        kind,
-        seq: r.u64()?,
-        time_us: r.u64()?,
-        energy_mj: r.f64()?,
-        latency_us: r.u64()?,
-        accuracy: r.f32()?,
-        wal_bytes: r.u64()?,
-    })
-}
-
-fn put_summary(out: &mut Vec<u8>, summary: &Summary) {
-    put_f64(out, summary.min);
-    put_f64(out, summary.max);
-    put_f64(out, summary.sum);
-    put_u64(out, summary.count);
-}
-
-fn read_summary(r: &mut Reader<'_>) -> Result<Summary, PayloadError> {
-    Ok(Summary { min: r.f64()?, max: r.f64()?, sum: r.f64()?, count: r.u64()? })
-}
-
 /// Encodes a response into one complete frame.
 pub fn encode_response(response: &WireResponse) -> Vec<u8> {
-    let mut payload = Vec::new();
+    let mut w = ByteWriter::default();
     let kind = match response {
         WireResponse::Serve(ServeResponse::Prediction { class, similarity, batched_with }) => {
-            put_u64(&mut payload, *class as u64);
-            put_f32(&mut payload, *similarity);
-            put_u64(&mut payload, *batched_with as u64);
+            w.u64(*class as u64);
+            w.f32(*similarity);
+            w.u64(*batched_with as u64);
             KIND_RESP_PREDICTION
         }
         WireResponse::Serve(ServeResponse::Learned { classes, total_classes }) => {
-            put_u32(&mut payload, classes.len() as u32);
+            w.u32(classes.len() as u32);
             for &class in classes {
-                put_u64(&mut payload, class as u64);
+                w.u64(class as u64);
             }
-            put_u64(&mut payload, *total_classes as u64);
+            w.u64(*total_classes as u64);
             KIND_RESP_LEARNED
         }
         WireResponse::Serve(ServeResponse::Snapshot { bytes }) => {
-            put_bytes(&mut payload, bytes);
+            w.bytes_u32(bytes);
             KIND_RESP_SNAPSHOT
         }
         WireResponse::Serve(ServeResponse::Stats(stats)) => {
-            put_stats(&mut payload, stats);
+            write_stats(&mut w, stats);
             KIND_RESP_STATS
         }
         WireResponse::Serve(ServeResponse::Budget { spent_mj, remaining_mj }) => {
-            put_f64(&mut payload, *spent_mj);
-            put_option_f64(&mut payload, *remaining_mj);
+            w.f64(*spent_mj);
+            w.opt_f64(*remaining_mj);
             KIND_RESP_BUDGET
         }
         WireResponse::Error(error) => {
-            put_serve_error(&mut payload, error);
+            write_serve_error(&mut w, error);
             KIND_RESP_ERROR
         }
         WireResponse::Repl(ReplEvent::Full { seq, snapshot }) => {
-            put_u64(&mut payload, *seq);
-            put_bytes(&mut payload, snapshot);
+            w.u64(*seq);
+            w.bytes_u32(snapshot);
             KIND_REPL_FULL
         }
         WireResponse::Repl(ReplEvent::Delta { seq, total_classes, updates }) => {
-            put_u64(&mut payload, *seq);
-            put_u64(&mut payload, *total_classes);
-            put_u32(&mut payload, updates.len() as u32);
-            for (class, prototype) in updates {
-                put_u64(&mut payload, *class);
-                put_u32(&mut payload, prototype.len() as u32);
-                for &v in prototype {
-                    put_f32(&mut payload, v);
-                }
-            }
+            w.u64(*seq);
+            w.u64(*total_classes);
+            write_updates(&mut w, updates);
             KIND_REPL_DELTA
         }
         WireResponse::Export(export) => {
-            put_export(&mut payload, export);
+            write_export(&mut w, export);
             KIND_RESP_EXPORT
         }
         WireResponse::Imported { classes } => {
-            put_u64(&mut payload, *classes);
+            w.u64(*classes);
             KIND_RESP_IMPORTED
         }
         WireResponse::Advertised { registered } => {
-            put_u64(&mut payload, *registered);
+            w.u64(*registered);
             KIND_RESP_ADVERTISED
         }
         WireResponse::Obs(result) => {
-            put_u32(&mut payload, result.events.len() as u32);
+            w.u32(result.events.len() as u32);
             for event in &result.events {
-                put_obs_event(&mut payload, event);
+                write_event(&mut w, event, ByteWriter::string_u32);
             }
-            put_u64(&mut payload, result.aggregates.matched);
-            put_summary(&mut payload, &result.aggregates.energy_mj);
-            put_summary(&mut payload, &result.aggregates.latency_us);
-            put_summary(&mut payload, &result.aggregates.accuracy);
-            payload.push(u8::from(result.truncated));
-            put_u64(&mut payload, result.appended);
-            put_u64(&mut payload, result.dropped);
-            put_u32(&mut payload, result.shards_ok);
-            put_u32(&mut payload, result.shards_err);
-            put_u32(&mut payload, result.rollups.len() as u32);
+            w.u64(result.aggregates.matched);
+            write_summary(&mut w, &result.aggregates.energy_mj);
+            write_summary(&mut w, &result.aggregates.latency_us);
+            write_summary(&mut w, &result.aggregates.accuracy);
+            w.u8(u8::from(result.truncated));
+            w.u64(result.appended);
+            w.u64(result.dropped);
+            w.u32(result.shards_ok);
+            w.u32(result.shards_err);
+            w.u32(result.rollups.len() as u32);
             for rollup in &result.rollups {
-                put_rollup(&mut payload, rollup);
+                write_rollup(&mut w, rollup, ByteWriter::string_u32);
             }
             for &count in &result.latency_hist.counts {
-                put_u64(&mut payload, count);
+                w.u64(count);
             }
             KIND_RESP_OBS
         }
@@ -965,22 +759,22 @@ pub fn encode_response(response: &WireResponse) -> Vec<u8> {
             if batch.truncated {
                 flags |= 2;
             }
-            payload.push(flags);
-            put_u64(&mut payload, batch.cursor.time_us);
-            put_u64(&mut payload, batch.cursor.seq);
-            put_u64(&mut payload, batch.dropped);
-            put_u32(&mut payload, batch.events.len() as u32);
+            w.u8(flags);
+            w.u64(batch.cursor.time_us);
+            w.u64(batch.cursor.seq);
+            w.u64(batch.dropped);
+            w.u32(batch.events.len() as u32);
             for event in &batch.events {
-                put_obs_event(&mut payload, event);
+                write_event(&mut w, event, ByteWriter::string_u32);
             }
-            put_u32(&mut payload, batch.rollups.len() as u32);
+            w.u32(batch.rollups.len() as u32);
             for rollup in &batch.rollups {
-                put_rollup(&mut payload, rollup);
+                write_rollup(&mut w, rollup, ByteWriter::string_u32);
             }
             KIND_OBS_BATCH
         }
     };
-    frame_bytes(kind, &payload)
+    frame_bytes(kind, w.as_slice())
 }
 
 /// Decodes a response message from a frame's kind byte and payload.
@@ -990,61 +784,50 @@ pub fn encode_response(response: &WireResponse) -> Vec<u8> {
 /// Returns a typed [`PayloadError`] for unknown kinds and malformed bodies;
 /// never panics.
 pub fn decode_response(kind: u8, payload: &[u8]) -> Result<WireResponse, PayloadError> {
-    let mut r = Reader::new(payload);
+    let mut r = ByteReader::new(payload);
     let response = match kind {
         KIND_RESP_PREDICTION => WireResponse::Serve(ServeResponse::Prediction {
-            class: r.usize_field("class")?,
+            class: r.usize("class")?,
             similarity: r.f32()?,
-            batched_with: r.usize_field("batched_with")?,
+            batched_with: r.usize("batched_with")?,
         }),
         KIND_RESP_LEARNED => {
-            let count = r.checked_count("classes", 8)?;
+            let count = r.count("classes", 8)?;
             let mut classes = Vec::with_capacity(count);
             for _ in 0..count {
-                classes.push(r.usize_field("class")?);
+                classes.push(r.usize("class")?);
             }
             WireResponse::Serve(ServeResponse::Learned {
                 classes,
-                total_classes: r.usize_field("total_classes")?,
+                total_classes: r.usize("total_classes")?,
             })
         }
         KIND_RESP_SNAPSHOT => WireResponse::Serve(ServeResponse::Snapshot {
-            bytes: r.bytes_field("snapshot")?,
+            bytes: r.bytes_u32("snapshot")?.to_vec(),
         }),
         KIND_RESP_STATS => WireResponse::Serve(ServeResponse::Stats(read_stats(&mut r)?)),
         KIND_RESP_BUDGET => WireResponse::Serve(ServeResponse::Budget {
             spent_mj: r.f64()?,
-            remaining_mj: r.option_f64()?,
+            remaining_mj: r.opt_f64()?,
         }),
         KIND_RESP_ERROR => WireResponse::Error(read_serve_error(&mut r)?),
         KIND_REPL_FULL => WireResponse::Repl(ReplEvent::Full {
             seq: r.u64()?,
-            snapshot: r.bytes_field("snapshot")?,
+            snapshot: r.bytes_u32("snapshot")?.to_vec(),
         }),
-        KIND_REPL_DELTA => {
-            let seq = r.u64()?;
-            let total_classes = r.u64()?;
-            let count = r.checked_count("updates", 12)?;
-            let mut updates = Vec::with_capacity(count);
-            for _ in 0..count {
-                let class = r.u64()?;
-                let dim = r.checked_count("prototype", 4)?;
-                let mut prototype = Vec::with_capacity(dim);
-                for _ in 0..dim {
-                    prototype.push(r.f32()?);
-                }
-                updates.push((class, prototype));
-            }
-            WireResponse::Repl(ReplEvent::Delta { seq, total_classes, updates })
-        }
+        KIND_REPL_DELTA => WireResponse::Repl(ReplEvent::Delta {
+            seq: r.u64()?,
+            total_classes: r.u64()?,
+            updates: read_updates(&mut r)?,
+        }),
         KIND_RESP_EXPORT => WireResponse::Export(read_export(&mut r)?),
         KIND_RESP_IMPORTED => WireResponse::Imported { classes: r.u64()? },
         KIND_RESP_ADVERTISED => WireResponse::Advertised { registered: r.u64()? },
         KIND_RESP_OBS => {
-            let count = r.checked_count("obs events", OBS_EVENT_MIN_BYTES)?;
+            let count = r.count("obs events", OBS_EVENT_MIN_BYTES)?;
             let mut events = Vec::with_capacity(count);
             for _ in 0..count {
-                events.push(read_obs_event(&mut r)?);
+                events.push(read_event(&mut r, ByteReader::string_u32)?);
             }
             let aggregates = ObsAggregates {
                 matched: r.u64()?,
@@ -1061,10 +844,10 @@ pub fn decode_response(kind: u8, payload: &[u8]) -> Result<WireResponse, Payload
             let dropped = r.u64()?;
             let shards_ok = r.u32()?;
             let shards_err = r.u32()?;
-            let rollup_count = r.checked_count("obs rollups", OBS_ROLLUP_MIN_BYTES)?;
+            let rollup_count = r.count("obs rollups", OBS_ROLLUP_MIN_BYTES)?;
             let mut rollups = Vec::with_capacity(rollup_count);
             for _ in 0..rollup_count {
-                rollups.push(read_rollup(&mut r)?);
+                rollups.push(read_rollup(&mut r, ByteReader::string_u32)?);
             }
             let mut latency_hist = LatencyHistogram::empty();
             for count in latency_hist.counts.iter_mut() {
@@ -1090,15 +873,15 @@ pub fn decode_response(kind: u8, payload: &[u8]) -> Result<WireResponse, Payload
             }
             let cursor = ObsCursor { time_us: r.u64()?, seq: r.u64()? };
             let dropped = r.u64()?;
-            let count = r.checked_count("tail events", OBS_EVENT_MIN_BYTES)?;
+            let count = r.count("tail events", OBS_EVENT_MIN_BYTES)?;
             let mut events = Vec::with_capacity(count);
             for _ in 0..count {
-                events.push(read_obs_event(&mut r)?);
+                events.push(read_event(&mut r, ByteReader::string_u32)?);
             }
-            let rollup_count = r.checked_count("tail rollups", OBS_ROLLUP_MIN_BYTES)?;
+            let rollup_count = r.count("tail rollups", OBS_ROLLUP_MIN_BYTES)?;
             let mut rollups = Vec::with_capacity(rollup_count);
             for _ in 0..rollup_count {
-                rollups.push(read_rollup(&mut r)?);
+                rollups.push(read_rollup(&mut r, ByteReader::string_u32)?);
             }
             WireResponse::Tail(TailBatch {
                 events,
@@ -1119,6 +902,7 @@ pub fn decode_response(kind: u8, payload: &[u8]) -> Result<WireResponse, Payload
 mod tests {
     use super::*;
     use crate::frame::{parse_frame, DEFAULT_MAX_PAYLOAD};
+    use ofscil_obs::{Event, EventKind, Rollup};
 
     fn roundtrip_request(request: WireRequest) {
         let frame = encode_request(&request);
@@ -1308,10 +1092,10 @@ mod tests {
             peek_request(KIND_RESP_ERROR, &[]),
             Err(PayloadError::UnknownKind(_))
         ));
-        let mut payload = Vec::new();
-        put_u32(&mut payload, 99);
+        let mut w = ByteWriter::default();
+        w.u32(99);
         assert!(matches!(
-            peek_request(KIND_REQ_STATS, &payload),
+            peek_request(KIND_REQ_STATS, w.as_slice()),
             Err(PayloadError::LengthOverflow { .. })
         ));
     }
@@ -1532,21 +1316,21 @@ mod tests {
 
         // A declared element count beyond the payload is refused before
         // allocation.
-        let mut payload = Vec::new();
-        put_string(&mut payload, "t");
-        payload.push(1); // rank 1
-        put_u32(&mut payload, u32::MAX); // 4 billion elements, 0 bytes follow
+        let mut w = ByteWriter::default();
+        w.string_u32("t");
+        w.u8(1); // rank 1
+        w.u32(u32::MAX); // 4 billion elements, 0 bytes follow
         assert!(matches!(
-            decode_request(KIND_REQ_INFER, &payload),
+            decode_request(KIND_REQ_INFER, w.as_slice()),
             Err(PayloadError::LengthOverflow { .. })
         ));
 
         // Trailing bytes after a well-formed message are an error.
-        let mut payload = Vec::new();
-        put_string(&mut payload, "t");
-        payload.push(0xab);
+        let mut w = ByteWriter::default();
+        w.string_u32("t");
+        w.u8(0xab);
         assert!(matches!(
-            decode_request(KIND_REQ_STATS, &payload),
+            decode_request(KIND_REQ_STATS, w.as_slice()),
             Err(PayloadError::TrailingBytes { remaining: 1 })
         ));
     }

@@ -5,6 +5,7 @@
 //! (`tests/wire_codec.rs`) drives random damage through the decoders to hold
 //! that line.
 
+use ofscil_serve::bytes::{ChecksumMismatch, DecodeError};
 use ofscil_serve::ServeError;
 use std::error::Error;
 use std::fmt;
@@ -74,6 +75,12 @@ impl fmt::Display for FrameError {
 }
 
 impl Error for FrameError {}
+
+impl From<ChecksumMismatch> for FrameError {
+    fn from(ChecksumMismatch { stored, computed }: ChecksumMismatch) -> Self {
+        FrameError::ChecksumMismatch { stored, computed }
+    }
+}
 
 /// Failure at the message layer: the frame was intact but its payload does
 /// not decode into a message. The framing is still synchronized, so a server
@@ -151,6 +158,23 @@ impl fmt::Display for PayloadError {
 }
 
 impl Error for PayloadError {}
+
+impl From<DecodeError> for PayloadError {
+    fn from(e: DecodeError) -> Self {
+        match e {
+            DecodeError::Truncated { offset, needed, remaining } => {
+                Self::Truncated { offset, needed, remaining }
+            }
+            DecodeError::LengthOverflow { field, declared } => {
+                Self::LengthOverflow { field, declared }
+            }
+            DecodeError::BadUtf8 => Self::BadUtf8,
+            DecodeError::ValueOverflow { field, value } => Self::ValueOverflow { field, value },
+            DecodeError::BadTag { field, tag } => Self::BadTag { field, tag },
+            DecodeError::TrailingBytes { remaining } => Self::TrailingBytes { remaining },
+        }
+    }
+}
 
 /// Error of the wire subsystem: transport, codec, protocol and remote
 /// failures.

@@ -13,11 +13,11 @@
 //! end-4   4     FNV-1a checksum of every preceding byte, little-endian u32
 //! ```
 //!
-//! The same deliberately tiny style as the snapshot codec in
-//! `ofscil_serve::snapshot`: self-describing, no serde, corruption detected
-//! by checksum, hostile lengths rejected before allocation.
+//! Self-describing, no serde, hostile lengths rejected before allocation;
+//! encoded and checksummed with the shared `ofscil_serve::bytes` codec.
 
 use crate::error::{FrameError, WireError};
+use ofscil_serve::bytes::{verify_checksum, ByteWriter};
 use std::io::{ErrorKind, Read};
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -56,53 +56,42 @@ pub const WIRE_VERSION: u16 = 8;
 pub const HEADER_LEN: usize = 12;
 
 /// Trailing checksum length in bytes.
-pub const CHECKSUM_LEN: usize = 4;
+pub const CHECKSUM_LEN: usize = ofscil_serve::bytes::CHECKSUM_LEN;
 
 /// Default maximum payload size a peer will accept (16 MiB) — far above any
 /// legitimate O-FSCIL message, far below anything that could hurt.
 pub const DEFAULT_MAX_PAYLOAD: usize = 16 << 20;
 
-/// FNV-1a 32-bit hash — the same dependency-free corruption check the
-/// snapshot codec uses. Not a cryptographic integrity check.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u32 {
-    let mut hash: u32 = 0x811c_9dc5;
-    for &b in bytes {
-        hash ^= u32::from(b);
-        hash = hash.wrapping_mul(0x0100_0193);
-    }
-    hash
-}
-
 /// Serializes one frame.
 pub fn frame_bytes(kind: u8, payload: &[u8]) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity(HEADER_LEN + payload.len() + CHECKSUM_LEN);
-    bytes.extend_from_slice(&WIRE_MAGIC);
-    bytes.extend_from_slice(&WIRE_VERSION.to_le_bytes());
-    bytes.push(kind);
-    bytes.push(0u8);
-    bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    bytes.extend_from_slice(payload);
-    let checksum = fnv1a(&bytes);
-    bytes.extend_from_slice(&checksum.to_le_bytes());
-    bytes
+    let mut w = ByteWriter::with_capacity(HEADER_LEN + payload.len() + CHECKSUM_LEN);
+    w.raw(&WIRE_MAGIC);
+    w.u16(WIRE_VERSION);
+    w.u8(kind);
+    w.u8(0);
+    w.bytes_u32(payload);
+    w.checksum_since(0);
+    w.into_bytes()
 }
 
-/// Validates a frame header (first [`HEADER_LEN`] bytes, length checked by
-/// the caller) and returns `(kind, payload_len)`.
-fn parse_header(header: &[u8], max_payload: usize) -> Result<(u8, usize), FrameError> {
-    let magic: [u8; 4] = header[0..4].try_into().expect("length checked");
+/// Validates a frame header and returns `(kind, payload_len)`.
+fn parse_header(
+    header: &[u8; HEADER_LEN],
+    max_payload: usize,
+) -> Result<(u8, usize), FrameError> {
+    let [m0, m1, m2, m3, v0, v1, kind, reserved, l0, l1, l2, l3] = *header;
+    let magic = [m0, m1, m2, m3];
     if magic != WIRE_MAGIC {
         return Err(FrameError::BadMagic(magic));
     }
-    let version = u16::from_le_bytes(header[4..6].try_into().expect("length checked"));
+    let version = u16::from_le_bytes([v0, v1]);
     if version != WIRE_VERSION {
         return Err(FrameError::UnsupportedVersion(version));
     }
-    let kind = header[6];
-    if header[7] != 0 {
-        return Err(FrameError::BadReserved(header[7]));
+    if reserved != 0 {
+        return Err(FrameError::BadReserved(reserved));
     }
-    let declared = u32::from_le_bytes(header[8..12].try_into().expect("length checked")) as usize;
+    let declared = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
     if declared > max_payload {
         return Err(FrameError::Oversize { declared, max: max_payload });
     }
@@ -122,7 +111,8 @@ pub fn parse_frame(bytes: &[u8], max_payload: usize) -> Result<(u8, &[u8]), Fram
     if bytes.len() < min {
         return Err(FrameError::Truncated { needed: min, actual: bytes.len() });
     }
-    let (kind, payload_len) = parse_header(&bytes[..HEADER_LEN], max_payload)?;
+    let header = bytes[..HEADER_LEN].try_into().expect("length checked above");
+    let (kind, payload_len) = parse_header(header, max_payload)?;
     let total = HEADER_LEN + payload_len + CHECKSUM_LEN;
     if bytes.len() < total {
         return Err(FrameError::Truncated { needed: total, actual: bytes.len() });
@@ -130,13 +120,8 @@ pub fn parse_frame(bytes: &[u8], max_payload: usize) -> Result<(u8, &[u8]), Fram
     if bytes.len() > total {
         return Err(FrameError::TrailingBytes { remaining: bytes.len() - total });
     }
-    let body_end = HEADER_LEN + payload_len;
-    let stored = u32::from_le_bytes(bytes[body_end..total].try_into().expect("length checked"));
-    let computed = fnv1a(&bytes[..body_end]);
-    if stored != computed {
-        return Err(FrameError::ChecksumMismatch { stored, computed });
-    }
-    Ok((kind, &bytes[HEADER_LEN..body_end]))
+    verify_checksum(bytes)?;
+    Ok((kind, &bytes[HEADER_LEN..HEADER_LEN + payload_len]))
 }
 
 /// What a blocking frame read produced.
@@ -281,13 +266,7 @@ pub fn read_frame_verbatim(
         Fill::Shutdown => return Ok(VerbatimEvent::Shutdown),
         Fill::Eof | Fill::Done => {}
     }
-    let body_end = total - CHECKSUM_LEN;
-    let stored =
-        u32::from_le_bytes(bytes[body_end..].try_into().expect("length checked"));
-    let computed = fnv1a(&bytes[..body_end]);
-    if stored != computed {
-        return Err(FrameError::ChecksumMismatch { stored, computed }.into());
-    }
+    verify_checksum(&bytes).map_err(FrameError::from)?;
     Ok(VerbatimEvent::Frame(VerbatimFrame { kind, bytes }))
 }
 
